@@ -46,7 +46,7 @@ from repro import artifacts
 from repro.core.config import CoolAirConfig
 from repro.errors import ConfigError
 from repro.core.versions import ALL_VERSIONS
-from repro.sim.campaign import trained_cooling_model
+from repro.sim.campaign import model_log_gaps, trained_cooling_model
 from repro.sim.yearsim import YearResult, run_year
 from repro.weather.climate import Climate
 from repro.weather.locations import NAMED_LOCATIONS, world_grid
@@ -222,11 +222,10 @@ def effective_engine(
 
     Thin wrapper over :func:`repro.sim.eligibility.decide_engine` (the
     single statement of the rules) that resolves the requested engine
-    from ``REPRO_SIM_ENGINE``.  A config with exotic timing or a
-    non-empty :class:`~repro.faults.FaultSchedule` falls back to the
-    scalar reference path (and is fingerprinted as such, so the cache
+    from ``REPRO_SIM_ENGINE``.  A config with exotic timing falls back to
+    the scalar reference path (and is fingerprinted as such, so the cache
     stays honest about which numeric path produced each entry); every
-    cooling plant rides the lane engine.
+    cooling plant and every fault schedule rides the lane engine.
     """
     from repro.sim.eligibility import decide_engine
 
@@ -255,12 +254,13 @@ def day_unfold_eligible(
 
     Day-unfolding simulates a year's sampled days side by side, which is
     only valid when every day is provably independent of the days before
-    it.  Three things break that today and route to the day-sequential
+    it.  Four things break that today and route to the day-sequential
     path instead:
 
-    * the scalar engine (faulted cells and exotic timing already fall
-      back there via :func:`effective_engine` — fault schedules are
-      day-granular state the unfold cannot replay);
+    * the scalar engine (exotic timing already falls back there via
+      :func:`effective_engine`);
+    * a fault schedule (fault state — held readings, spike RNG streams,
+      drift origins, stuck latches — carries across days);
     * deferrable workloads (their traces exist to be temporally
       rescheduled); and
     * any temporal-scheduling policy other than ``NONE`` (the scheduler
@@ -424,11 +424,11 @@ def year_result(
     trace = (
         facebook_trace(deferrable) if workload == "facebook" else nutch_trace(deferrable)
     )
-    if isinstance(system, str):
-        model = None
-    else:
-        gaps = system.faults.log_gaps if system.faults is not None else ()
-        model = trained_cooling_model(log_gaps=gaps)
+    model = (
+        None
+        if isinstance(system, str)
+        else trained_cooling_model(log_gaps=model_log_gaps(system))
+    )
     if engine == "lanes":
         from repro.sim.lanes import (
             LaneScenario,

@@ -10,12 +10,13 @@ Times the three hot layers of a CoolAir simulation:
   seasonally spread days, under the All-ND CoolAir version on smooth
   hardware at Newark (the configuration the paper's Figures 8-10 sweep
   runs thousands of times);
-* **lane batches** — ``world_chunk``, ``plant_world_chunk``, and
-  ``matrix``: worker-sized groups of (climate, system) year runs stepped
-  in lockstep by the lane engine (:mod:`repro.sim.lanes`), measured
-  against a recorded baseline that ran the identical scenarios through
-  the scalar path one at a time (``plant_world_chunk`` cycles the
-  non-parasol cooling backends across its lanes);
+* **lane batches** — ``world_chunk``, ``plant_world_chunk``,
+  ``fault_chunk``, and ``matrix``: worker-sized groups of year runs
+  stepped in lockstep by the lane engine (:mod:`repro.sim.lanes`),
+  measured against a recorded baseline that ran the identical scenarios
+  through the scalar path one at a time (``plant_world_chunk`` cycles
+  the non-parasol cooling backends across its lanes; ``fault_chunk``
+  runs All-ND under each builtin fault scenario);
 * **world_100k** — the screened planetary sweep
   (:mod:`repro.analysis.screening`): climate-cluster dedupe, surrogate
   screening, and cluster/surrogate serving over a dense ``world_grid``.
@@ -91,6 +92,10 @@ MATRIX_LOCATIONS = ("Newark", "Chad")
 # cooling backends, cycling so every backend appears in the batch (see
 # bench_plant_world_chunk).
 PLANT_CHUNK_PLANTS = ("chiller", "cooling_tower", "hybrid")
+
+# fault_chunk: All-ND at Newark under each builtin fault scenario, one
+# lane per scenario (see bench_fault_chunk).
+FAULT_CHUNK_LOCATION = "Newark"
 
 # year_unfold: one All-ND year at Newark with its sampled days unfolded
 # into lockstep lanes (see bench_year_unfold).  Stride 46 samples 8 days,
@@ -425,6 +430,67 @@ def bench_plant_world_chunk(
     }
 
 
+def bench_fault_chunk(
+    repeats: int = 3, scalar: bool = False
+) -> Dict[str, float]:
+    """A fault campaign's chunk: All-ND under every builtin scenario.
+
+    Eight lanes — All-ND at Newark under each builtin fault scenario
+    (:data:`repro.faults.BUILTIN_SCENARIOS`), one per lane — over the
+    world chunk's three seasonally spread days.  Each lane trains (or
+    loads) the model its schedule asks for, so the ``model-gap`` lane
+    runs on its degraded model and every lane spends its days in safe
+    mode.  The recorded baseline ran the identical scenarios through the
+    scalar reference path one cell at a time (``scalar=True``, also used
+    once to record that entry) — where faulted cells ran before they
+    rode lanes — so ``speedup_vs_baseline`` reads as the lane-engine win
+    for fault campaigns.  Quick runs keep all eight lanes (fewer repeats)
+    so the CI smoke gates the recorded shape.
+    """
+    import dataclasses
+
+    from repro.faults import BUILTIN_SCENARIOS
+    from repro.sim.lanes import LaneScenario, run_year_lanes
+    from repro.sim.yearsim import run_year
+
+    trace = FacebookTraceGenerator(num_jobs=CHUNK_TRACE_JOBS, seed=42).generate()
+    climate = NAMED_LOCATIONS[FAULT_CHUNK_LOCATION]
+    scenarios = [
+        LaneScenario(
+            system=dataclasses.replace(
+                ALL_VERSIONS[BENCH_SYSTEM](), faults=BUILTIN_SCENARIOS[name]
+            ),
+            climate=climate,
+            trace=trace,
+        )
+        for name in sorted(BUILTIN_SCENARIOS)
+    ]
+
+    def run() -> object:
+        if scalar:
+            return [
+                run_year(
+                    s.system,
+                    s.climate,
+                    s.trace,
+                    sample_every_days=CHUNK_SAMPLE_EVERY_DAYS,
+                )
+                for s in scenarios
+            ]
+        return run_year_lanes(
+            scenarios, sample_every_days=CHUNK_SAMPLE_EVERY_DAYS
+        )
+
+    run()  # warm TMY/forecast/model caches so repeats time the simulation
+    median_s = _median_time(run, repeats)
+    lanes = len(scenarios)
+    return {
+        "median_s": median_s,
+        "lanes": lanes,
+        "s_per_lane": median_s / lanes,
+    }
+
+
 def bench_matrix(
     model: CoolingModel, repeats: int = 3, quick: bool = False
 ) -> Dict[str, float]:
@@ -728,6 +794,7 @@ def run_bench(
         results["plant_world_chunk"] = bench_plant_world_chunk(
             model, repeats=1, quick=True
         )
+        results["fault_chunk"] = bench_fault_chunk(repeats=1)
         results["world_100k"] = bench_world_100k(quick=True)
     else:
         results["plant_step"] = bench_plant_step()
@@ -737,6 +804,7 @@ def run_bench(
         results["year_unfold"] = bench_year_unfold(model)
         results["world_chunk"] = bench_world_chunk(model)
         results["plant_world_chunk"] = bench_plant_world_chunk(model)
+        results["fault_chunk"] = bench_fault_chunk()
         results["matrix"] = bench_matrix(model)
         results["world_sweep_stream"] = bench_world_sweep_stream()
         results["world_100k"] = bench_world_100k()
@@ -909,6 +977,12 @@ TRACKED_METRICS: Dict[str, Dict] = {
     # scalar reference path one cell at a time (the pre-lane fallback),
     # so the comparison is lanes-vs-scalar at the same workload shape.
     "plant_world_chunk": {
+        "metric": "s_per_lane", "better": "lower", "shape": ("lanes",),
+    },
+    # Recorded like plant_world_chunk: the identical faulted scenarios on
+    # the scalar reference path one cell at a time, where faulted cells
+    # ran before they rode lanes.  Quick runs keep the 8-lane shape.
+    "fault_chunk": {
         "metric": "s_per_lane", "better": "lower", "shape": ("lanes",),
     },
     "matrix": {

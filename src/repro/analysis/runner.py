@@ -361,23 +361,22 @@ def _run_lane_chunk(
 ) -> List[YearResult]:
     """Run a chunk of cells as one lockstep lane batch.
 
-    All tasks in a chunk must share (and do, by construction in
-    :func:`run_year_tasks`) the same day-sampling stride; systems,
-    climates, workloads, and forecast biases mix freely across lanes.
-    Each lane's result is bit-identical to its scalar run and is stored
-    under its own cache key.
+    All tasks in a chunk must share the same day-sampling stride, and
+    they share one cooling model (the default, or one fault log-gap
+    schedule's): :func:`run_year_tasks` groups cells by both, so the
+    lane engine, which loads each lane's model, makes one stacked
+    rollout per control period.  Systems, climates, workloads, forecast
+    biases, plants, and fault schedules mix freely across lanes.  Each
+    lane's result is bit-identical to its scalar run and is stored under
+    its own cache key.
     """
     from repro.analysis import experiments
-    from repro.sim.campaign import trained_cooling_model
     from repro.sim.lanes import LaneScenario, run_year_lanes
 
     sample = chunk[0].sample_every_days or experiments.DEFAULT_SAMPLE_DAYS
     scenarios = []
-    needs_model = False
     for task in chunk:
         system, _ = experiments._resolve_system(task.system)
-        if not isinstance(system, str):
-            needs_model = True
         trace = (
             experiments.facebook_trace(task.deferrable)
             if task.workload == "facebook"
@@ -392,8 +391,7 @@ def _run_lane_chunk(
                 plant=task.plant,
             )
         )
-    model = trained_cooling_model() if needs_model else None
-    results = run_year_lanes(scenarios, model=model, sample_every_days=sample)
+    results = run_year_lanes(scenarios, sample_every_days=sample)
     for task, result in zip(chunk, results):
         key = experiments.cache_key(
             task.system,
@@ -444,17 +442,13 @@ def _run_day_chunk(
     the parent, after the fold).
     """
     from repro.analysis import experiments
-    from repro.sim.campaign import trained_cooling_model
     from repro.sim.lanes import LaneRunner, LaneScenario
     from repro.sim.trace import avg_violation_from
 
     scenarios = []
     days = []
-    needs_model = False
     for task, day in items:
         system, _ = experiments._resolve_system(task.system)
-        if not isinstance(system, str):
-            needs_model = True
         trace = (
             experiments.facebook_trace(task.deferrable)
             if task.workload == "facebook"
@@ -470,8 +464,7 @@ def _run_day_chunk(
             )
         )
         days.append(int(day))
-    model = trained_cooling_model() if needs_model else None
-    runner = LaneRunner(scenarios, model=model)
+    runner = LaneRunner(scenarios)
     metrics, _ = runner.run_day(days)
     return [
         {
@@ -486,6 +479,7 @@ def _run_day_chunk(
             "water_l": day_metrics["water_l"],
             "tower_mech_hours": day_metrics["tower_mech_hours"],
             "chiller_mech_hours": day_metrics["chiller_mech_hours"],
+            "degraded_fraction": day_metrics["degraded_fraction"],
         }
         for day_metrics in metrics
     ]
@@ -518,26 +512,19 @@ def _warm_shared_state(tasks: Sequence[YearTask]) -> None:
     workers load instead of retraining.
     """
     from repro.analysis import experiments
-    from repro.sim.campaign import trained_cooling_model
+    from repro.sim.campaign import model_log_gaps, trained_cooling_model
 
-    gap_keys = set()
-    model_needs = []
+    model_needs: Dict[tuple, None] = {}
     for task in tasks:
         if task.workload == "facebook":
             experiments.facebook_trace(task.deferrable)
         else:
             experiments.nutch_trace(task.deferrable)
         system, _ = experiments._resolve_system(task.system)
-        if isinstance(system, str):
-            continue
-        # Mirrors how ``experiments.year_result`` derives each cell's
-        # model, so exactly the keys the workers will ask for get warmed.
-        gaps = (
-            tuple(system.faults.log_gaps) if system.faults is not None else ()
-        )
-        if gaps not in gap_keys:
-            gap_keys.add(gaps)
-            model_needs.append(gaps)
+        if not isinstance(system, str):
+            # The engines resolve each cell's model the same way, so
+            # exactly the keys the workers will ask for get warmed.
+            model_needs[model_log_gaps(system)] = None
     for gaps in model_needs:
         trained_cooling_model(log_gaps=gaps)
 
@@ -775,13 +762,17 @@ def run_year_tasks(
 
     # Partition the uncached cells: day-unfolded cells expand into
     # (cell, day) work items; other lane-engine-compatible cells group by
-    # sampling stride (a lane batch steps all lanes over the same days);
-    # everything else — exotic-timing or faulted configs, the scalar
-    # engine, lanes=1 — runs one cell at a time.
+    # sampling stride (a lane batch steps all lanes over the same days)
+    # and cooling model (one stacked rollout per batch: the default
+    # model, or one fault log-gap schedule's); everything else —
+    # exotic-timing configs, the scalar engine, lanes=1 — runs one cell
+    # at a time.
     unfolded = set(day_cells)
     singles: List[int] = []
     lane_groups: dict = {}
     if lanes > 1:
+        from repro.sim.campaign import model_log_gaps
+
         for index in pending:
             if index in unfolded:
                 continue
@@ -794,7 +785,9 @@ def run_year_tasks(
                     tasks[index].sample_every_days
                     or experiments.DEFAULT_SAMPLE_DAYS
                 )
-                lane_groups.setdefault(sample, []).append(index)
+                lane_groups.setdefault(
+                    (sample, model_log_gaps(system)), []
+                ).append(index)
             else:
                 singles.append(index)
     else:
@@ -966,9 +959,9 @@ def run_year_tasks(
             ],
             cooling_kwh=0.0,
             it_kwh=0.0,
-            # Unfold-eligible cells never run faulted, so no step
-            # degrades; 0.0 matches the scalar mean-of-no-flags exactly.
-            daily_degraded_fraction=[0.0] * len(payloads),
+            daily_degraded_fraction=[
+                p["degraded_fraction"] for p in payloads
+            ],
         )
         for payload in payloads:
             result.cooling_kwh += payload["cooling_kwh"]

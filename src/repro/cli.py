@@ -56,7 +56,11 @@ from repro.core.coolair import CoolAir
 from repro.core.versions import ALL_VERSIONS
 from repro.errors import ReproError
 from repro.faults import BUILTIN_SCENARIOS, builtin_scenario
-from repro.sim.campaign import run_learning_campaign, trained_cooling_model
+from repro.sim.campaign import (
+    model_log_gaps,
+    run_learning_campaign,
+    trained_cooling_model,
+)
 from repro.sim.engine import (
     BaselineAdapter,
     CoolAirAdapter,
@@ -228,9 +232,7 @@ def cmd_day(args: argparse.Namespace) -> int:
             config = dataclasses.replace(config, faults=faults)
         maker = make_realsim if args.abrupt else make_smoothsim
         setup = maker(climate, faults=faults, plant=plant)
-        model = trained_cooling_model(
-            log_gaps=faults.log_gaps if faults is not None else ()
-        )
+        model = trained_cooling_model(log_gaps=model_log_gaps(config))
         coolair = CoolAir(
             config, model, setup.layout, setup.forecast,
             smooth_hardware=setup.smooth_hardware,

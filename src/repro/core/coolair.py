@@ -43,6 +43,7 @@ class CoolAir:
         forecast_service: ForecastService,
         smooth_hardware: bool = False,
         utility_weights: Optional[UtilityWeights] = None,
+        predictor: Optional[CoolingPredictor] = None,
     ) -> None:
         if model.num_sensors != layout.num_pods:
             raise ConfigError(
@@ -53,7 +54,11 @@ class CoolAir:
         self.model = model
         self.layout = layout
         self.forecast_service = forecast_service
-        self.predictor = CoolingPredictor(model, config.model_step_s)
+        # ``predictor`` (built on ``model``) lets many managers of one
+        # model share its plan caches; the lane engine shares one per model.
+        self.predictor = predictor or CoolingPredictor(
+            model, config.model_step_s
+        )
         self.utility = UtilityFunction(config, utility_weights)
         self.optimizer = CoolingOptimizer(
             config, self.predictor, self.utility, smooth_hardware=smooth_hardware
@@ -140,20 +145,43 @@ class CoolAir:
         documented TKS-like safe mode and ``last_decision_degraded`` /
         ``last_degradation_reason`` record it for the trace.
         """
+        candidates = self.cooling_candidates(state)
+        if candidates is None:
+            return self.safe_mode_command()
+        return self.optimizer.decide(
+            state, self.band, active_pods, candidates=candidates
+        )
+
+    def cooling_candidates(
+        self, state: PredictorState
+    ) -> Optional[List[CoolingCommand]]:
+        """The branching half of :meth:`decide_cooling`.
+
+        Returns the regimes the optimizer rolls out, or None when this
+        decision runs in safe mode (:meth:`safe_mode_command`): a dead
+        inlet or outside sensor, or a model that cannot predict a
+        candidate (the predictor's plan build raises exactly when the
+        rollout would).  Records the outcome in ``last_decision_degraded``
+        / ``last_degradation_reason`` either way.  The lane engine calls
+        this per lane and rolls out only its healthy lanes, in one stacked
+        pass.
+        """
         if self.band is None:
             raise ConfigError("call start_day before decide_cooling")
         reason = self._dead_sensor_reason()
         if reason is None:
+            candidates = self.optimizer._candidates(state, self.band)
             try:
-                command = self.optimizer.decide(state, self.band, active_pods)
-                self.last_decision_degraded = False
-                self.last_degradation_reason = None
-                return command
+                self.predictor.check_candidates(state.mode, candidates)
             except ModelNotTrainedError as err:
                 reason = f"model lost a regime: {err}"
+            else:
+                self.last_decision_degraded = False
+                self.last_degradation_reason = None
+                return candidates
         self.last_decision_degraded = True
         self.last_degradation_reason = reason
-        return self._safe_mode_command()
+        return None
 
     # -- graceful degradation -------------------------------------------------
 
@@ -180,7 +208,7 @@ class CoolAir:
     # sensor is dead and safe mode must estimate a control temperature.
     SAFE_MODE_INLET_RISE_C = 6.0
 
-    def _safe_mode_command(self) -> CoolingCommand:
+    def safe_mode_command(self) -> CoolingCommand:
         """The TKS-like fallback decision (docs/ROBUSTNESS.md).
 
         Controls on the warmest *healthy* inlet reading; with every inlet

@@ -134,14 +134,19 @@ class CoolingOptimizer:
         state: PredictorState,
         band: TemperatureBand,
         active_sensor_indices: Optional[Sequence[int]] = None,
+        candidates: Optional[Sequence[CoolingCommand]] = None,
     ) -> CoolingCommand:
         """Pick the regime with the lowest predicted penalty.
 
         ``active_sensor_indices`` restricts the utility sum to "the sensors
         of all active pods" (Section 3.2); None scores every sensor.
+        ``candidates`` passes this state's candidate regimes when the
+        caller already generated them (CoolAir does, to check the model
+        can predict them before rolling out).
         """
         steps = self.config.steps_per_control_period
-        candidates = self._candidates(state, band)
+        if candidates is None:
+            candidates = self._candidates(state, band)
         if self.use_batched:
             predictions = self.predictor.predict_batch(state, candidates, steps)
         else:

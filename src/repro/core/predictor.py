@@ -278,6 +278,20 @@ class CoolingPredictor:
             )
         return predictions
 
+    def check_candidates(
+        self, mode: CoolingMode, commands: Sequence[CoolingCommand]
+    ) -> None:
+        """Raise :class:`~repro.errors.ModelNotTrainedError` exactly when
+        a rollout of ``commands`` from ``mode`` would.
+
+        Both rollout paths resolve every learned model they use while
+        building the candidate set's plan, so this is that (cached) build.
+        CoolAir calls it before rolling out, which lets the lane engine
+        send a lane whose model lost a regime to safe mode without
+        aborting the stacked rollout of its chunk-mates.
+        """
+        self._get_plan(mode, tuple(commands))
+
     def _get_plan(self, mode: CoolingMode, commands: Tuple[CoolingCommand, ...]):
         """Row layout / regime keys / humidity params for one candidate set.
 
@@ -327,6 +341,15 @@ class CoolingPredictor:
                 self.model.resolved_humidity_model(k) for k in keys_steady
             )
         ]
+        # Resolve the temperature stacks and every candidate's power too,
+        # in the order a rollout first touches them (humidity, transition
+        # step, steady steps, power), so a model that lost a regime fails
+        # here, before any rollout arithmetic: one raising point for
+        # predict_batch and predict_lanes_stacked alike.
+        self.model.batched_vectorized(keys_first)
+        self.model.batched_vectorized(keys_steady)
+        for command, duty in zip(commands, duties):
+            self._predict_power(mode, command, duty)
         # Stacked forms of the humidity models and the duty-blend weights
         # for the lane path: weights are duty / (1 - duty) on a blended
         # pair's rows and 1.0 elsewhere (1.0 * x passes through exactly),
@@ -365,37 +388,6 @@ class CoolingPredictor:
         )
         self._batch_plans[plan_key] = plan
         return plan
-
-    def predict_lanes(
-        self,
-        states: Sequence[PredictorState],
-        commands_per_lane: Sequence[Sequence[CoolingCommand]],
-        steps: int,
-    ) -> List[List[RegimePrediction]]:
-        """Candidate rollouts for many lanes as RegimePrediction objects.
-
-        Returns exactly ``[self.predict_batch(s, c, steps) for s, c in
-        zip(states, commands_per_lane)]`` — bit-identical per lane.  Thin
-        assembly over :meth:`predict_lanes_stacked`; the lane engine calls
-        the stacked form directly and skips the per-candidate objects.
-        """
-        stacked = self.predict_lanes_stacked(states, commands_per_lane, steps)
-        results: List[List[RegimePrediction]] = []
-        for (temps, rh, energies, ac_full), commands in zip(
-            stacked, commands_per_lane
-        ):
-            results.append(
-                [
-                    RegimePrediction(
-                        sensor_temps_c=temps[i].copy(),
-                        rh_pct=rh[i].copy(),
-                        cooling_energy_kwh=energies[i],
-                        ac_at_full_speed=ac_full[i],
-                    )
-                    for i in range(len(commands))
-                ]
-            )
-        return results
 
     def predict_lanes_stacked(
         self,

@@ -22,10 +22,13 @@ fault channels the simulator can inject and the runtime
   starve :class:`~repro.core.modeler.CoolingLearner` of a whole regime.
 
 A :class:`FaultSchedule` bundles the channels plus a seed; it rides on
-:class:`~repro.core.config.CoolAirConfig` (``faults=``) and is consumed
-by the scalar engine only — :func:`repro.analysis.experiments.effective_engine`
-falls back to the scalar path for faulted cells.  All randomness comes
-from per-channel ``numpy`` generators seeded from the schedule seed, so
+:class:`~repro.core.config.CoolAirConfig` (``faults=``).  Both engines
+consume it through this module's :class:`FaultInjector`, attached to a
+run's own layout and cooling units: the scalar
+:class:`~repro.sim.engine.DayRunner` for its one run, and the lane engine
+(:mod:`repro.sim.lanes`) once per faulted lane, so there is one
+implementation of the fault semantics.  All randomness comes from
+per-channel ``numpy`` generators seeded from the schedule seed, so
 same-seed runs are bit-identical.  See ``docs/ROBUSTNESS.md``.
 """
 

@@ -173,6 +173,19 @@ def trained_cooling_model(
     return model
 
 
+def model_log_gaps(system) -> Tuple:
+    """The monitoring-log gaps ``system``'s cooling model is learned from.
+
+    A CoolAir config whose fault schedule punches log gaps learns the
+    degraded model those gaps leave; every other system (a fault-free
+    config, or the model-free ``"baseline"``) maps to the default,
+    gap-free model.  Every engine and the campaign runner resolve a
+    cell's model through this, so they always agree on it.
+    """
+    faults = getattr(system, "faults", None)
+    return tuple(faults.log_gaps) if faults else ()
+
+
 def probe_recirculation(
     plant: Optional[ThermalPlant] = None,
     pod_power_w: float = 480.0,

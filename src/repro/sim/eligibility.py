@@ -15,18 +15,19 @@ The rules, in order:
 * Exotic timing (anything but the standard 120 s model step / 600 s
   control period) -> scalar: the lane engine's rate-split caches assume
   the standard grid.
-* A non-empty fault schedule -> scalar: faults are per-lane, per-day
-  mutable state the SoA batches do not model.
-* Everything else -> lanes.  Since the lane-vectorized cooling backends
-  landed, the plant no longer forces scalar: chiller, cooling_tower,
-  and hybrid cells ride lanes (and day-unfolding) bit-identically.
+* Everything else -> lanes.  Neither the plant nor a fault schedule
+  forces scalar: chiller, cooling_tower, and hybrid cells ride lanes
+  through their lane-vectorized units, and faulted cells ride lanes
+  with their own fault-injected sensors and actuators per lane.
 
 Day-unfolding additionally requires every sampled day to be provably
 independent of the days before it:
 
-* scalar cells never unfold (faulted cells land here via the engine
-  rules above — fault schedules are day-granular state the unfold
-  cannot replay);
+* scalar cells never unfold;
+* faulted cells never unfold: fault state carries across days (a dead
+  sensor holds its first reading, spike RNG streams continue, drift
+  runs from the first observation in its window, a stuck sensor keeps
+  its latched value), so day *k* depends on the days before it;
 * deferrable workloads never unfold (their traces exist to be
   temporally rescheduled); and
 * any temporal-scheduling policy other than ``NONE`` never unfolds
@@ -95,9 +96,9 @@ def decide_engine(
                 False,
                 "exotic timing (lane caches assume 120 s / 600 s)",
             )
-        if getattr(system, "faults", None):
+        if system.faults:
             return EngineDecision(
-                "scalar", False, "fault schedules are scalar-only state"
+                "lanes", False, "fault state carries across days"
             )
     if deferrable:
         return EngineDecision(

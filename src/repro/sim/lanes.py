@@ -6,7 +6,8 @@ exact (climate, management system, workload) combination a scalar
 structure-of-arrays state.  One vectorized call per model step advances
 every lane's thermal plant, weather lookup, sensor quantization, and disk
 model; per-lane branching (TKS mode latches, regime changes, band
-differences) is handled with boolean masks and per-lane decision objects.
+differences, safe mode) is handled with boolean masks and per-lane
+decision objects.
 
 Bit-identity contract: ``run_year_lanes(scenarios)[i]`` equals
 ``run_year(scenarios[i]...)`` field for field.  The design splits work by
@@ -22,17 +23,30 @@ rate to keep that guarantee cheap to audit:
   holds constant between control epochs — pod IT powers, unit actuator
   state and power draw, disk utilization — plus the management decisions
   themselves.  Baseline lanes decide through the vectorized
-  :class:`LaneBaselineController`; CoolAir lanes share one cross-lane
-  :meth:`CoolingPredictor.predict_lanes` rollout and then reuse the
-  scalar :meth:`CoolingOptimizer.decide_from_predictions` selection code.
-
+  :class:`LaneBaselineController`.  CoolAir lanes branch through
+  :meth:`CoolAir.cooling_candidates` (the scalar manager's own safe-mode
+  branching); the healthy ones share one cross-lane
+  :meth:`CoolingPredictor.predict_lanes_stacked` rollout per cooling
+  model and then select through the scalar optimizer's
+  :meth:`CoolingOptimizer.decide_from_stacked`, and the degraded ones
+  take :meth:`CoolAir.safe_mode_command`.
 * **Per-backend lane units (non-parasol plants):** the chiller, tower,
   and hybrid backends step as
   :class:`~repro.cooling.backends.LaneCoolingUnits` arrays — actuator
   state gathered per control period from the per-lane scalar units
   (whose ramp/latch/regime dynamics stay authoritative), weather-coupled
-  power and water evaluated per model step.  See
-  :mod:`repro.sim.eligibility` for which cells ride lanes.
+  power and water evaluated per model step.
+* **Faulted lanes (a CoolAir config with a fault schedule):** each owns
+  a :class:`~repro.faults.FaultInjector` attached to its own layout and
+  units, exactly as a scalar run's.  Every step, after the vectorized
+  quantization, the lane's true values go through its layout's sensors
+  at the scalar engine's times and order, and the readings (faulted,
+  held, or healthy) replace the lane's row; actuator faults act through
+  the per-lane units.  The sensors and injector persist across
+  :meth:`LaneRunner.run_day` calls, carrying fault state from day to day
+  as the scalar engine does.  Fault-free lanes never touch this path.
+
+See :mod:`repro.sim.eligibility` for which cells ride lanes.
 
 Restrictions (asserted): no process noise, the standard 120 s model step /
 600 s control period, and the profile (not task-level Hadoop) workload.
@@ -70,18 +84,20 @@ from repro.core.predictor import CoolingPredictor, PredictorState
 from repro.datacenter.layout import DatacenterLayout, parasol_layout
 from repro.datacenter.server import PowerState
 from repro.errors import ConfigError, SimulationError
+from repro.faults import FaultInjector
 from repro.physics.psychrometrics import (
     absolute_to_relative_humidity_array,
     wet_bulb_c_array,
 )
 from repro.physics.thermal import LaneDiskModel, LaneThermalPlant
-from repro.sim.campaign import trained_cooling_model
+from repro.sim.campaign import model_log_gaps, trained_cooling_model
 from repro.sim.engine import ProfileWorkload
 from repro.workload.profile import DemandProfile
 from repro.sim.trace import (
     DayTrace,
     StepRecord,
     avg_violation_from,
+    degraded_fraction_from,
     energy_kwh_from,
     max_rate_from,
     outside_range_from,
@@ -188,6 +204,7 @@ class _Lane:
         "workload",
         "coolair",
         "climate_name",
+        "injector",
     )
 
     def __init__(
@@ -198,6 +215,7 @@ class _Lane:
         workload: ProfileWorkload,
         coolair: Optional[CoolAir],
         climate_name: str,
+        injector: Optional[FaultInjector] = None,
     ) -> None:
         self.label = label
         self.layout = layout
@@ -205,10 +223,21 @@ class _Lane:
         self.workload = workload
         self.coolair = coolair
         self.climate_name = climate_name
+        # Faulted lanes only: the scalar engine's injector, attached to
+        # this lane's own layout and units.
+        self.injector = injector
 
 
 class LaneRunner:
-    """Steps a batch of independent year scenarios in lockstep."""
+    """Steps a batch of independent year scenarios in lockstep.
+
+    ``model`` is the cooling model of every CoolAir lane (like
+    ``run_year``'s ``model=``); None gives each lane the model its fault
+    schedule asks for (:func:`~repro.sim.campaign.model_log_gaps`).
+    Lanes of one model share a predictor, so their rollouts stack into
+    one pass per control period; the campaign runner batches cells of
+    one model together, so a chunk makes exactly one.
+    """
 
     def __init__(
         self,
@@ -223,12 +252,8 @@ class LaneRunner:
         self.control_period_s = CONTROL_PERIOD_S
         self._steps_per_control = CONTROL_PERIOD_S // MODEL_STEP_S
 
-        if model is None and any(
-            not isinstance(s.system, str) for s in scenarios
-        ):
-            model = trained_cooling_model()
-        self.model = model
-
+        # One shared predictor per distinct cooling model.
+        predictors: Dict[CoolingModel, CoolingPredictor] = {}
         series_by_climate: Dict[Climate, TMYSeries] = {}
         shared_profiles: Dict[tuple, DemandProfile] = {}
         series_list: List[TMYSeries] = []
@@ -267,6 +292,7 @@ class LaneRunner:
                 shared_profiles[profile_key] = workload.profile
 
             backend = get_backend(scenario.plant)
+            injector = None
             if is_baseline:
                 # make_realsim: the baseline runs on abrupt hardware (for
                 # parasol; the alternative plants are smooth either way).
@@ -284,28 +310,38 @@ class LaneRunner:
                         f"{MODEL_STEP_S}s/{CONTROL_PERIOD_S}s timing, got "
                         f"{system.model_step_s}s/{system.control_period_s}s"
                     )
-                if getattr(system, "faults", None):
-                    raise ConfigError(
-                        "lane engine does not support fault injection; "
-                        "faulted cells must run on the scalar path (see "
-                        "effective_engine)"
-                    )
                 units = backend.make_units(smooth=smooth_hardware)
                 forecast = ForecastService(
                     tmy, bias_c=scenario.forecast_bias_c
                 )
+                lane_model = (
+                    model
+                    if model is not None
+                    else trained_cooling_model(
+                        log_gaps=model_log_gaps(system)
+                    )
+                )
+                predictor = predictors.get(lane_model)
+                if predictor is None:
+                    predictor = CoolingPredictor(lane_model, MODEL_STEP_S)
+                    predictors[lane_model] = predictor
                 coolair = CoolAir(
                     config=system,
-                    model=self.model,
+                    model=lane_model,
                     layout=layout,
                     forecast_service=forecast,
                     smooth_hardware=isinstance(units, SmoothCoolingUnits),
+                    predictor=predictor,
                 )
                 label = system.name
                 coolair_indices.append(index)
+                if system.faults:
+                    # DayRunner.__init__: attach once per run.
+                    injector = FaultInjector(system.faults)
+                    injector.attach(layout, units)
             self.lanes.append(
                 _Lane(label, layout, units, workload, coolair,
-                      scenario.climate.name)
+                      scenario.climate.name, injector)
             )
 
         num = self.num_lanes
@@ -355,11 +391,11 @@ class LaneRunner:
         else:
             self._baseline_ctrl = None
             self._baseline_pods = None
-        self._predictor = (
-            CoolingPredictor(self.model, MODEL_STEP_S)
-            if coolair_indices
-            else None
-        )
+        self._faulted = [
+            index
+            for index, lane in enumerate(self.lanes)
+            if lane.injector is not None
+        ]
 
         # Sensor + history arrays (the scalar engine's sensors and
         # _prev_* attributes as lanes-first arrays).
@@ -370,6 +406,9 @@ class LaneRunner:
         self._cold_rh = np.zeros(num)
         self._outside_rh_read = np.zeros(num)
         self._prev_fan = np.zeros(num)
+        # Whether each lane's latest control decision ran in safe mode
+        # (DayRunner.degraded_control, stamped on every step).
+        self._degraded = np.zeros(num, dtype=bool)
         # Per-control-period caches (constant between control epochs).
         self._fc = np.zeros(num)
         self._ac_fan = np.zeros(num)
@@ -443,16 +482,17 @@ class LaneRunner:
 
         if self._coolair_idx:
             inside_w = self._plant.state.cold_aisle_mixing_ratio
-            states: List[PredictorState] = []
-            cands: List[list] = []
-            picked: List[tuple] = []
+            # Healthy lanes' candidate sets, batched per shared predictor
+            # (one per cooling model) for one stacked rollout each.
+            batches: Dict[CoolingPredictor, tuple] = {}
             for lane_index in self._coolair_idx:
                 lane = self.lanes[lane_index]
+                coolair = lane.coolair
                 demanded_arr = self._demanded_arr[lane_index]
                 demanded = int(
                     demanded_arr[interval % demanded_arr.shape[0]]
                 )
-                _active_ids, active_pods = lane.coolair.plan_compute(demanded)
+                _active_ids, active_pods = coolair.plan_compute(demanded)
                 # layout.utilization() unrolled so the active count is
                 # also available to _refresh_period_caches (same int sum,
                 # same division — bit-identical).
@@ -474,23 +514,65 @@ class LaneRunner:
                     inside_mixing_ratio=float(inside_w[lane_index]),
                     outside_mixing_ratio=float(mix_grid[lane_index, grid_col]),
                 )
-                band = lane.coolair.band
-                if band is None:
-                    raise ConfigError("call start_day before control")
-                states.append(state)
-                cands.append(lane.coolair.optimizer._candidates(state, band))
-                picked.append((lane, band, active_pods))
-            stacked = self._predictor.predict_lanes_stacked(
-                states, cands, self._steps_per_control
-            )
-            for (lane, band, active_pods), state, candidates, (
-                temps, rh, energies, ac_full
-            ) in zip(picked, states, cands, stacked):
-                command = lane.coolair.optimizer.decide_from_stacked(
-                    state, band, candidates, temps, rh, energies, ac_full,
-                    active_pods,
+                candidates = coolair.cooling_candidates(state)
+                self._degraded[lane_index] = coolair.last_decision_degraded
+                if candidates is None:
+                    lane.units.apply(coolair.safe_mode_command())
+                    continue
+                states, cands, picked = batches.setdefault(
+                    coolair.predictor, ([], [], [])
                 )
-                lane.units.apply(command)
+                states.append(state)
+                cands.append(candidates)
+                picked.append((lane, active_pods))
+            for predictor, (states, cands, picked) in batches.items():
+                stacked = predictor.predict_lanes_stacked(
+                    states, cands, self._steps_per_control
+                )
+                for (lane, active_pods), state, candidates, (
+                    temps, rh, energies, ac_full
+                ) in zip(picked, states, cands, stacked):
+                    command = lane.coolair.optimizer.decide_from_stacked(
+                        state, lane.coolair.band, candidates, temps, rh,
+                        energies, ac_full, active_pods,
+                    )
+                    lane.units.apply(command)
+
+    def _observe_faulted(
+        self,
+        day_start_s: Sequence[int],
+        time_of_day_s: float,
+        inlets: np.ndarray,
+        inside_rh: np.ndarray,
+        outside_c: np.ndarray,
+        outside_rh: np.ndarray,
+    ) -> None:
+        """Faulted lanes' readings, through their fault-injected sensors.
+
+        Mirrors ``DayRunner._seed_sensors`` / ``_advance_plant``: the
+        injector's clock is set to the step's absolute time (the same
+        float arithmetic), then the step's true values go through
+        ``layout.observe`` — the scalar engine's sensors, channels, and
+        RNG draws, in its order.  The readings it leaves (a faulted value,
+        a dead sensor's held one, or the plain quantization) overwrite
+        the lane's row of the freshly rotated buffers.
+        """
+        for lane_index in self._faulted:
+            lane = self.lanes[lane_index]
+            layout = lane.layout
+            lane.injector.set_time(day_start_s[lane_index] + time_of_day_s)
+            layout.observe(
+                pod_inlet_temp_c=inlets[lane_index],
+                cold_aisle_rh_pct=float(inside_rh[lane_index]),
+                outside_temp_c=float(outside_c[lane_index]),
+                outside_rh_pct=float(outside_rh[lane_index]),
+            )
+            self._readings[lane_index] = layout.inlet_readings()
+            self._cold_rh[lane_index] = layout.cold_aisle_humidity.read()
+            self._outside_read[lane_index] = layout.outside_temp.read()
+            self._outside_rh_read[lane_index] = (
+                layout.outside_humidity.read()
+            )
 
     def _refresh_period_caches(self, step: int, dt: float) -> None:
         """Workload utilization + everything constant within the period.
@@ -603,7 +685,7 @@ class LaneRunner:
         one scenario across different sampled days of its year).
 
         Returns ``(metrics, traces)`` where ``metrics`` is a list of dicts
-        (one per lane) with the five YearResult day quantities, and
+        (one per lane) with the YearResult day quantities, and
         ``traces`` is a list of :class:`DayTrace` (or None without
         ``keep_traces``).
         """
@@ -641,10 +723,16 @@ class LaneRunner:
         self._disks.reset()
         if self._baseline_ctrl is not None:
             self._baseline_ctrl.reset()
-        for lane in self.lanes:
+        for lane_index, lane in enumerate(self.lanes):
+            if lane.injector is not None:
+                # Fault windows and actuator faults are day-granular;
+                # installed before the reset, which leaves them alone.
+                lane.injector.begin_day(lane_days[lane_index])
             lane.units.reset()
             if lane.coolair is not None:
                 lane.coolair.reset_day_state()
+        self._degraded[:] = False
+        day_start_s = [day * SECONDS_PER_DAY for day in lane_days]
 
         self._plant.reset(
             temps_grid[:, warmup_steps] + 6.0, mix_grid[:, warmup_steps]
@@ -660,6 +748,11 @@ class LaneRunner:
         self._cold_rh[:] = _quantize_rh(inside_rh)
         self._outside_read[:] = _quantize_temp(temps_grid[:, 0])
         self._outside_rh_read[:] = _quantize_rh(rh_grid[:, 0])
+        if self._faulted:
+            self._observe_faulted(
+                day_start_s, -warmup_steps * dt, inlets, inside_rh,
+                temps_grid[:, 0], rh_grid[:, 0],
+            )
         self._prev_readings[:] = self._readings
         self._prev_outside[:] = self._outside_read
         for lane_index, lane in enumerate(self.lanes):
@@ -700,6 +793,7 @@ class LaneRunner:
         rec_outside = np.empty((steps, num))
         rec_cooling = np.empty((steps, num))
         rec_it = np.empty((steps, num))
+        rec_degraded = np.empty((steps, num), dtype=bool)
         if self._plant_groups:
             rec_water = np.zeros((steps, num))
             rec_regime = np.zeros((steps, num), dtype=np.int8)
@@ -771,6 +865,11 @@ class LaneRunner:
             self._cold_rh[:] = _quantize_rh(inside_rh)
             self._outside_read[:] = _quantize_temp(temps_grid[:, grid_col])
             self._outside_rh_read[:] = _quantize_rh(rh_grid[:, grid_col])
+            if self._faulted:
+                self._observe_faulted(
+                    day_start_s, step * dt, inlets, inside_rh,
+                    temps_grid[:, grid_col], rh_grid[:, grid_col],
+                )
             disk_temps = self._disks.step(inlets, self._disk_util, dt)
 
             # Weather-coupled backends draw power (chiller lift) and
@@ -789,6 +888,7 @@ class LaneRunner:
                 rec_outside[step] = self._outside_read
                 rec_cooling[step] = self._cooling_power
                 rec_it[step] = self._it_power
+                rec_degraded[step] = self._degraded
                 if self._plant_groups:
                     rec_water[step] = self._water_step
                     rec_regime[step] = self._regime_code
@@ -844,6 +944,9 @@ class LaneRunner:
                     "water_l": water_l,
                     "tower_mech_hours": tower_mech_hours,
                     "chiller_mech_hours": chiller_mech_hours,
+                    "degraded_fraction": degraded_fraction_from(
+                        rec_degraded[:, lane_index]
+                    ),
                 }
             )
             if keep_traces:
@@ -868,6 +971,7 @@ class LaneRunner:
                                 float(t)
                                 for t in rec_disks[row, lane_index]
                             ),
+                            degraded=bool(rec_degraded[row, lane_index]),
                             water_l=(
                                 float(water[row])
                                 if water is not None
@@ -923,9 +1027,9 @@ class LaneRunner:
                 result.daily_max_rate_c_per_hour.append(
                     day_metrics["max_rate_c_per_hour"]
                 )
-                # Lanes never run faulted scenarios, so no step degrades;
-                # 0.0 matches the scalar path's mean-of-no-flags exactly.
-                result.daily_degraded_fraction.append(0.0)
+                result.daily_degraded_fraction.append(
+                    day_metrics["degraded_fraction"]
+                )
                 result.cooling_kwh += day_metrics["cooling_kwh"]
                 result.it_kwh += day_metrics["it_kwh"]
                 result.water_l += day_metrics["water_l"]
@@ -983,13 +1087,19 @@ def run_year_unfolded(
     result is bit-identical to it field for field (pinned by
     ``tests/integration/test_day_unfold.py``).
 
-    Only valid for scenarios whose days are independent: no faults (the
-    lane engine rejects them anyway) and no temporal scheduling (the
-    scheduler mutates the trace across days).  Callers gate on
+    Only valid for scenarios whose days are independent: no faults (fault
+    state carries across days, so a faulted scenario is refused) and no
+    temporal scheduling (the scheduler mutates the trace across days).
+    Callers gate on
     :func:`repro.analysis.experiments.day_unfold_eligible`.
     """
     if day_lanes < 1:
         raise ConfigError(f"day_lanes must be >= 1, got {day_lanes}")
+    if getattr(scenario.system, "faults", None):
+        raise ConfigError(
+            "a faulted scenario cannot unfold: its fault state carries "
+            "across days"
+        )
     days = sampled_days(sample_every_days)
     width = min(int(day_lanes), len(days))
 
@@ -999,9 +1109,6 @@ def run_year_unfolded(
         )
 
     runner = make_runner(width)
-    # Reusing one trained model across batch runners keeps the remainder
-    # batch's predictor caches coherent with the full batches'.
-    model = runner.model
 
     result = YearResult(
         label=runner.lanes[0].label,
@@ -1038,9 +1145,9 @@ def run_year_unfolded(
             result.daily_max_rate_c_per_hour.append(
                 day_metrics["max_rate_c_per_hour"]
             )
-            # Unfold-eligible scenarios never run faulted, so no step
-            # degrades; 0.0 matches the scalar mean-of-no-flags exactly.
-            result.daily_degraded_fraction.append(0.0)
+            result.daily_degraded_fraction.append(
+                day_metrics["degraded_fraction"]
+            )
             result.cooling_kwh += day_metrics["cooling_kwh"]
             result.it_kwh += day_metrics["it_kwh"]
             result.water_l += day_metrics["water_l"]

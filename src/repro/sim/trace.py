@@ -50,6 +50,13 @@ def energy_kwh_from(powers_w: np.ndarray, times_s: np.ndarray) -> float:
     return float(np.sum(powers_w)) * dt / 3.6e6
 
 
+def degraded_fraction_from(flags: np.ndarray) -> float:
+    """Fraction of steps under safe-mode control, from per-step flags."""
+    if flags.size == 0:
+        return 0.0
+    return float(np.mean(np.asarray(flags, dtype=float)))
+
+
 @dataclasses.dataclass(frozen=True)
 class StepRecord:
     """State at the end of one model step."""
@@ -195,10 +202,9 @@ class DayTrace:
 
     def degraded_fraction(self) -> float:
         """Fraction of the day spent under safe-mode (degraded) control."""
-        if not self.records:
-            return 0.0
-        flags = np.array([r.degraded for r in self.records], dtype=float)
-        return float(np.mean(flags))
+        return degraded_fraction_from(
+            np.array([r.degraded for r in self.records], dtype=float)
+        )
 
     def degradation_intervals(self) -> List[Tuple[float, float]]:
         """Maximal [start, end] time spans of contiguous degraded steps."""

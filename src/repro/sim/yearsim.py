@@ -21,7 +21,7 @@ from repro.core.coolair import CoolAir
 from repro.core.config import CoolAirConfig
 from repro.core.modeler import CoolingModel
 from repro.errors import ConfigError, SimulationError
-from repro.sim.campaign import trained_cooling_model
+from repro.sim.campaign import model_log_gaps, trained_cooling_model
 from repro.sim.engine import (
     BaselineAdapter,
     CoolAirAdapter,
@@ -178,8 +178,7 @@ def run_year(
             climate, forecast_bias_c=forecast_bias_c, faults=faults, plant=plant
         )
         if model is None:
-            gaps = faults.log_gaps if faults is not None else ()
-            model = trained_cooling_model(log_gaps=gaps)
+            model = trained_cooling_model(log_gaps=model_log_gaps(system))
         coolair = CoolAir(
             config=system,
             model=model,

@@ -157,7 +157,9 @@ class TestEligibilityGate:
             ALL_VERSIONS["All-ND"](),
             faults=builtin_scenario("fan-stuck"),
         )
-        assert experiments.effective_engine(config) == "scalar"
+        # Faulted cells ride lanes, but day-sequentially: fault state
+        # carries across days.
+        assert experiments.effective_engine(config, "lanes") == "lanes"
         assert not experiments.day_unfold_eligible(config)
 
     def test_scalar_engine_is_not(self):

@@ -22,7 +22,7 @@ class TestQuickSuite:
         results = profiling.run_bench(quick=True, model=cooling_model)
         assert set(results) == {
             "plant_step", "optimizer_decision", "day_sim", "world_chunk",
-            "plant_world_chunk", "year_unfold", "world_100k",
+            "plant_world_chunk", "fault_chunk", "year_unfold", "world_100k",
         }
         for result in results.values():
             assert result["median_s"] > 0.0
@@ -34,6 +34,10 @@ class TestQuickSuite:
         # The plant chunk runs the same shape on the non-parasol lanes.
         assert results["plant_world_chunk"]["lanes"] == 2
         assert results["plant_world_chunk"]["s_per_lane"] > 0.0
+        # The fault chunk keeps its recorded 8-lane shape (one lane per
+        # builtin scenario), so --check gates it in quick mode too.
+        assert results["fault_chunk"]["lanes"] == 8
+        assert results["fault_chunk"]["s_per_lane"] > 0.0
         # The unfolded year runs at the same shape the baseline recorded,
         # so --check gates it even in quick mode.
         unfold = results["year_unfold"]

@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import experiments
 from repro.core.config import TemporalPolicy
 from repro.core.versions import ALL_VERSIONS
-from repro.faults import BUILTIN_SCENARIOS
+from repro.faults import BUILTIN_SCENARIOS, FaultSchedule
 from repro.sim.eligibility import EngineDecision, decide_engine
 
 PLANTS = ("parasol", "chiller", "cooling_tower", "hybrid")
@@ -69,18 +69,26 @@ class TestDecisionMatrix:
         config.control_period_s = 300.0
         assert decide_engine(config).engine == "scalar"
 
-    def test_faulted_config_falls_back_to_scalar(self):
+    def test_faulted_config_rides_lanes_no_unfold(self):
+        """Fault state carries across days, so faulted cells ride lanes
+        day-sequentially (they went to the scalar engine before faults
+        became per-lane state)."""
         decision = decide_engine(faulted_config())
-        assert decision.engine == "scalar"
+        assert decision.engine == "lanes"
         assert decision.day_unfold is False
         assert "fault" in decision.reason
 
-    def test_faulted_plant_cell_stays_scalar(self):
-        """Fault schedules beat the plant's lane eligibility."""
+    def test_faulted_plant_cell_rides_lanes(self):
         for plant in ("chiller", "cooling_tower", "hybrid"):
-            assert decide_engine(faulted_config(), plant=plant).engine == (
-                "scalar"
-            )
+            decision = decide_engine(faulted_config(), plant=plant)
+            assert decision.engine == "lanes"
+            assert decision.day_unfold is False
+
+    def test_empty_fault_schedule_is_fault_free(self):
+        config = dataclasses.replace(
+            ALL_VERSIONS["All-ND"](), faults=FaultSchedule()
+        )
+        assert decide_engine(config) == EngineDecision("lanes", True)
 
     def test_deferrable_rides_lanes_but_never_unfolds(self):
         decision = decide_engine("baseline", deferrable=True)
@@ -99,7 +107,7 @@ class TestExperimentsWrappersDelegate:
     """effective_engine / day_unfold_eligible restate nothing."""
 
     def test_effective_engine_matches_decision(self):
-        for system in ("baseline", "All-ND", "All-DEF"):
+        for system in ("baseline", "All-ND", "All-DEF", faulted_config()):
             resolved, _ = experiments._resolve_system(system)
             for engine in ("lanes", "scalar"):
                 for plant in PLANTS:
@@ -108,7 +116,7 @@ class TestExperimentsWrappersDelegate:
                     ) == decide_engine(resolved, engine, plant=plant).engine
 
     def test_day_unfold_eligible_matches_decision(self):
-        for system in ("baseline", "All-ND", "All-DEF"):
+        for system in ("baseline", "All-ND", "All-DEF", faulted_config()):
             resolved, _ = experiments._resolve_system(system)
             for deferrable in (False, True):
                 assert experiments.day_unfold_eligible(

@@ -167,6 +167,61 @@ class TestCacheVersioning:
             "baseline", "scalar", plant="chiller"
         ) == "scalar"
 
+    # Keys as the commit before faulted cells rode lanes computed them
+    # (pinned literals, so a change to any key component shows up here).
+    CLEAN_KEYS = (
+        (("baseline", "Newark"), {"sample_every_days": 14},
+         "baseline-Newark-facebook-defFalse-s14-b+0.0-j1200-elanes-v4"),
+        (("All-ND", "Newark"), {"sample_every_days": 14},
+         "All-ND-f243821601-Newark-facebook-defFalse-s14-b+0.0-j1200"
+         "-elanes-v4"),
+        (("baseline", "Chad"), {"sample_every_days": 92, "plant": "chiller"},
+         "baseline-Chad-facebook-defFalse-s92-b+0.0-j1200-elanes-pchiller"
+         "-v4"),
+        (("Temperature", "Singapore"),
+         {"workload": "nutch", "deferrable": True, "sample_every_days": 183,
+          "forecast_bias_c": 1.0},
+         "Temperature-ed588ef3ee-Singapore-nutch-defTrue-s183-b+1.0-j1200"
+         "-elanes-v4"),
+    )
+
+    def test_clean_cell_keys_are_byte_identical(self, monkeypatch):
+        """Routing faulted cells to lanes left every fault-free key (and
+        so every cached fault-free payload) where it was."""
+        from repro.weather.locations import NAMED_LOCATIONS
+
+        monkeypatch.setattr(experiments, "DEFAULT_TRACE_JOBS", 1200)
+        for (system, site), kwargs, key in self.CLEAN_KEYS:
+            assert experiments.cache_key(
+                system, NAMED_LOCATIONS[site], engine="lanes", **kwargs
+            ) == key
+
+    def test_faulted_cells_moved_to_the_lane_lineage(self, monkeypatch):
+        """As the non-parasol plant cells did before them: the bits are
+        asserted identical (tests/integration/test_fault_lanes.py), so
+        only the engine token moves; the scalar request keeps the old
+        key."""
+        import dataclasses
+
+        from repro.core.versions import ALL_VERSIONS
+        from repro.faults import builtin_scenario
+        from repro.weather.locations import NEWARK
+
+        monkeypatch.setattr(experiments, "DEFAULT_TRACE_JOBS", 1200)
+        faulted = dataclasses.replace(
+            ALL_VERSIONS["All-ND"](), faults=builtin_scenario("inlet-dropout")
+        )
+        old = (
+            "All-ND-2da60df3f3-Newark-facebook-defFalse-s183-b+0.0-j1200"
+            "-escalar-v4"
+        )
+        assert experiments.cache_key(
+            faulted, NEWARK, sample_every_days=183, engine="lanes"
+        ) == old.replace("-escalar-", "-elanes-")
+        assert experiments.cache_key(
+            faulted, NEWARK, sample_every_days=183, engine="scalar"
+        ) == old
+
     def test_exotic_timing_config_falls_back_to_scalar(self):
         from repro.core.versions import ALL_VERSIONS
 

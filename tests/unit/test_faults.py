@@ -248,9 +248,9 @@ class TestBuiltinScenarios:
 
 
 class TestEngineRouting:
-    """Faulted configs must route to the scalar reference path."""
+    """Faulted configs ride the lane engine, day-sequentially."""
 
-    def test_effective_engine_falls_back_to_scalar(self):
+    def test_effective_engine_routes_faulted_cells_to_lanes(self):
         import dataclasses
 
         from repro.analysis import experiments
@@ -259,10 +259,14 @@ class TestEngineRouting:
         faulted = dataclasses.replace(
             all_nd(), faults=builtin_scenario("inlet-dropout")
         )
-        assert experiments.effective_engine(faulted, "lanes") == "scalar"
-        # An empty schedule stays lane-eligible (it is a no-op).
+        assert experiments.effective_engine(faulted, "lanes") == "lanes"
+        assert not experiments.day_unfold_eligible(faulted)
+        # The scalar request still wins (the reference path stays).
+        assert experiments.effective_engine(faulted, "scalar") == "scalar"
+        # An empty schedule is a no-op: lane-eligible and unfoldable.
         empty = dataclasses.replace(all_nd(), faults=FaultSchedule())
         assert experiments.effective_engine(empty, "lanes") == "lanes"
+        assert experiments.day_unfold_eligible(empty)
 
     def test_fingerprint_distinguishes_faulted_configs(self):
         import dataclasses

@@ -256,6 +256,39 @@ class TestLaneChunking:
         )
         assert strides == [(7, 7), (30,)]
 
+    def test_chunks_grouped_by_cooling_model(self, lane_cache, monkeypatch):
+        """One model per chunk: the default, or one log-gap schedule's.
+
+        Faulted cells with no log gaps batch with fault-free cells; each
+        distinct log-gap schedule gets chunks of its own."""
+        import dataclasses
+
+        from repro.core.versions import ALL_VERSIONS
+        from repro.faults import builtin_scenario
+
+        chunks = self._record_chunks(monkeypatch)
+
+        def faulted(name):
+            return dataclasses.replace(
+                ALL_VERSIONS["All-ND"](), faults=builtin_scenario(name)
+            )
+
+        tasks = [
+            runner.YearTask("All-ND", NEWARK),
+            runner.YearTask(faulted("model-gap"), NEWARK),
+            runner.YearTask(faulted("sensor-spike"), SANTIAGO),
+            runner.YearTask("baseline", ICELAND),
+            runner.YearTask(faulted("model-gap"), ICELAND),
+        ]
+        runner.run_year_tasks(tasks, workers=1, lanes=8)
+        grouped = sorted(
+            sorted(task.climate.name for task in chunk) for chunk in chunks
+        )
+        assert grouped == [
+            ["Iceland", "Newark"],  # the two model-gap cells
+            ["Iceland", "Newark", "Santiago"],  # default-model cells
+        ]
+
     def test_lanes_1_restores_per_cell_runs(self, lane_cache, monkeypatch):
         monkeypatch.setattr(
             runner,
