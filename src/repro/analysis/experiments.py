@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro import artifacts
 from repro.core.config import CoolAirConfig
-from repro.errors import ConfigError
 from repro.core.versions import ALL_VERSIONS
 from repro.sim.campaign import model_log_gaps, trained_cooling_model
 from repro.sim.yearsim import YearResult, run_year
@@ -84,36 +83,6 @@ SIM_ENGINES = ("lanes", "scalar")
 # ``run_year_lanes``); composes with worker processes as workers x lanes.
 DEFAULT_LANES = int(os.environ.get("REPRO_LANES", "8"))
 
-
-def resolve_day_lanes(
-    day_lanes: Optional[int] = None, lanes: Optional[int] = None
-) -> int:
-    """The day-unfold width a run should use (1 = stay day-sequential).
-
-    An explicit ``day_lanes`` argument always wins.  Otherwise
-    ``REPRO_DAY_UNFOLD`` decides: unset/``0`` keeps the day-sequential
-    path, ``1`` unfolds to the run's lane width (``lanes`` if given, else
-    ``REPRO_LANES``), and any other integer is an explicit width.  Read
-    per call so spawned workers inherit it through the environment.
-    """
-    if day_lanes is not None:
-        if day_lanes < 1:
-            raise ConfigError(f"day_lanes must be >= 1, got {day_lanes}")
-        return int(day_lanes)
-    raw = os.environ.get("REPRO_DAY_UNFOLD", "0").strip()
-    if raw in ("", "0"):
-        return 1
-    if raw == "1":
-        return lanes if lanes is not None else DEFAULT_LANES
-    try:
-        width = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_DAY_UNFOLD must be a non-negative integer, got {raw!r}"
-        )
-    if width < 1:
-        raise ConfigError(f"REPRO_DAY_UNFOLD must be >= 0, got {raw!r}")
-    return width
 
 _memory_cache: Dict[str, YearResult] = {}
 _trace_cache: Dict[str, Trace] = {}
@@ -366,9 +335,15 @@ def load_cached(
 
 
 def store_result(
-    key: str, result: YearResult, use_disk_cache: bool = True
+    key: str,
+    result: YearResult,
+    use_disk_cache: bool = True,
+    cache_memory: bool = True,
 ) -> None:
-    _memory_cache[key] = result
+    """Memory-and-disk write; ``cache_memory=False`` skips the memory half
+    (like :func:`load_cached`'s, for sweeps that do not keep results)."""
+    if cache_memory:
+        _memory_cache[key] = result
     if use_disk_cache:
         _write_disk_entry(key, result)
 
@@ -385,28 +360,38 @@ def year_result(
     forecast_bias_c: float = 0.0,
     use_disk_cache: bool = True,
     engine: Optional[str] = None,
-    day_lanes: Optional[int] = None,
+    lanes: Optional[int] = None,
     plant: Optional[str] = None,
 ) -> YearResult:
     """One cached year run.
 
     ``system`` is ``"baseline"``, a version name from Table 1 (e.g.
     ``"All-ND"``), or an explicit :class:`CoolAirConfig`.  ``engine``
-    selects the numeric path (default ``REPRO_SIM_ENGINE``); a single
-    task runs as a one-lane batch under the lane engine, bit-identical to
-    the scalar reference.  ``day_lanes`` > 1 (default
-    ``REPRO_DAY_UNFOLD``) unfolds an eligible cell's sampled days into
-    that many lanes stepped in lockstep — bit-identical again, so the
-    cache key does not record it.  ``plant`` selects the cooling backend
-    (default ``REPRO_PLANT`` or ``parasol``); every backend rides the
-    lane engine through its lane-vectorized units.
+    selects the numeric path (default ``REPRO_SIM_ENGINE``).  Under the
+    lane engine a cell whose days may unfold (see
+    :func:`repro.sim.eligibility.decide_engine`) steps its sampled days
+    ``lanes`` at a time (default ``REPRO_LANES``; ``1`` keeps them
+    sequential), and any other cell runs as a one-lane batch — both
+    bit-identical to the scalar reference, so the cache key records
+    neither.  ``plant`` selects the cooling backend (default
+    ``REPRO_PLANT`` or ``parasol``); every backend rides the lane engine
+    through its lane-vectorized units.
     """
+    from repro.analysis.runner import resolve_lanes
     from repro.cooling.backends import resolve_plant
+    from repro.sim.eligibility import decide_engine
 
     plant = resolve_plant(plant)
+    lanes = resolve_lanes(lanes)
     sample = sample_every_days or DEFAULT_SAMPLE_DAYS
     system, _ = _resolve_system(system)
-    engine = effective_engine(system, engine, plant)
+    decision = decide_engine(
+        system,
+        engine or DEFAULT_SIM_ENGINE,
+        plant=plant,
+        deferrable=deferrable,
+    )
+    engine = decision.engine
     key = cache_key(
         system,
         climate,
@@ -443,10 +428,9 @@ def year_result(
             forecast_bias_c=forecast_bias_c,
             plant=plant,
         )
-        width = resolve_day_lanes(day_lanes)
-        if width > 1 and day_unfold_eligible(system, deferrable, engine, plant):
+        if lanes > 1 and decision.day_unfold:
             result = run_year_unfolded(
-                scenario, width, model=model, sample_every_days=sample
+                scenario, lanes, model=model, sample_every_days=sample
             )
         else:
             (result,) = run_year_lanes(
@@ -483,7 +467,6 @@ def five_location_matrix(
     sample_every_days: Optional[int] = None,
     workers: Optional[int] = None,
     lanes: Optional[int] = None,
-    day_lanes: Optional[int] = None,
     progress=None,
     task_retries: Optional[int] = None,
     task_timeout_s: Optional[float] = None,
@@ -525,7 +508,6 @@ def five_location_matrix(
         tasks,
         workers=workers,
         lanes=lanes,
-        day_lanes=day_lanes,
         progress=progress,
         task_retries=task_retries,
         task_timeout_s=task_timeout_s,
@@ -552,7 +534,6 @@ def world_sweep(
     sample_every_days: Optional[int] = None,
     workers: Optional[int] = None,
     lanes: Optional[int] = None,
-    day_lanes: Optional[int] = None,
     progress=None,
     task_retries: Optional[int] = None,
     task_timeout_s: Optional[float] = None,
@@ -602,7 +583,6 @@ def world_sweep(
             sample_every_days=sample_every_days,
             workers=workers,
             lanes=lanes,
-            day_lanes=day_lanes,
             progress=progress,
             task_retries=task_retries,
             task_timeout_s=task_timeout_s,
@@ -628,7 +608,6 @@ def world_sweep(
             tasks,
             workers=workers,
             lanes=lanes,
-            day_lanes=day_lanes,
             progress=progress,
             task_retries=task_retries,
             task_timeout_s=task_timeout_s,
@@ -641,7 +620,6 @@ def world_sweep(
         tasks,
         workers=workers,
         lanes=lanes,
-        day_lanes=day_lanes,
         progress=progress,
         task_retries=task_retries,
         task_timeout_s=task_timeout_s,
@@ -676,7 +654,6 @@ def _screened_world_sweep(
     sample_every_days: Optional[int] = None,
     workers: Optional[int] = None,
     lanes: Optional[int] = None,
-    day_lanes: Optional[int] = None,
     progress=None,
     task_retries: Optional[int] = None,
     task_timeout_s: Optional[float] = None,
@@ -709,7 +686,6 @@ def _screened_world_sweep(
     accumulator = StreamingWorldAccumulator(climates, coolair_system)
     common = dict(
         workers=workers,
-        day_lanes=day_lanes,
         progress=progress,
         task_retries=task_retries,
         task_timeout_s=task_timeout_s,

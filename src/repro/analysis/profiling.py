@@ -294,8 +294,8 @@ def bench_year_unfold(
 
     Runs All-ND at Newark over the 8 days a 46-day stride samples, all
     stepped as one 8-lane lockstep batch (:func:`run_year_unfolded`) —
-    the day-unfolded scheduling ``--day-lanes`` / ``REPRO_DAY_UNFOLD``
-    turns on for single cells and remainder chunks.  The recorded
+    the path ``experiments.year_result`` takes for a lone eligible cell
+    at the default 8 lanes.  The recorded
     baseline ran the identical cell through the day-sequential lane path
     (``unfold=False``, also used once to record that entry), so
     ``speedup_vs_baseline`` reads as the unfold win at this shape.

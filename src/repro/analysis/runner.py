@@ -8,8 +8,8 @@ over a :class:`concurrent.futures.ProcessPoolExecutor`:
 
 * worker count comes from the ``workers`` argument, the ``REPRO_WORKERS``
   environment variable, or ``os.cpu_count()``, in that order;
-* ``workers=1`` (or a single pending task) falls back to plain in-process
-  execution — no pool, no pickling;
+* ``workers=1`` (or a plan of one unit: a single chunk or cell) runs the
+  same plan in-process — no pool, no pickling;
 * results come back in task order regardless of completion order, and the
   simulations are deterministic, so serial and parallel runs produce
   identical results;
@@ -117,12 +117,6 @@ class YearTask:
     deferrable: bool = False
     sample_every_days: Optional[int] = None
     forecast_bias_c: float = 0.0
-    # Day-unfold width for in-worker execution (see
-    # ``experiments.year_result``): > 1 steps an eligible cell's sampled
-    # days as lockstep lanes inside the worker.  Bit-identical to the
-    # day-sequential run, so cache keys ignore it (and cross-request
-    # dedupe in the service is unaffected).
-    day_lanes: Optional[int] = None
     # Cooling plant backend (see repro.cooling.backends); non-parasol
     # plants carry their own cache keys and ride the lane engine through
     # their lane-vectorized units.
@@ -325,7 +319,9 @@ def _wrap_error(label: str, err: BaseException) -> TaskExecutionError:
     return TaskExecutionError(label, f"{type(err).__name__}: {err}")
 
 
-def _run_task(task: YearTask, use_disk_cache: bool = True) -> YearResult:
+def _run_task(
+    task: YearTask, use_disk_cache: bool = True, lanes: Optional[int] = None
+) -> YearResult:
     from repro.analysis import experiments
 
     return experiments.year_result(
@@ -336,21 +332,25 @@ def _run_task(task: YearTask, use_disk_cache: bool = True) -> YearResult:
         sample_every_days=task.sample_every_days,
         forecast_bias_c=task.forecast_bias_c,
         use_disk_cache=use_disk_cache,
-        day_lanes=task.day_lanes,
+        lanes=lanes,
         plant=task.plant,
     )
 
 
-def _execute_task_payload(task: YearTask, use_disk_cache: bool) -> dict:
+def _execute_task_payload(
+    task: YearTask, use_disk_cache: bool, lanes: Optional[int] = None
+) -> dict:
     """Worker entry point: run one cell, return its JSON payload.
 
-    Any exception is re-raised as a :class:`TaskExecutionError` carrying
-    the cell's identity, so the parent never sees an anonymous traceback.
+    ``lanes`` is the run's lane width (default ``REPRO_LANES``), which
+    ``experiments.year_result`` unfolds an eligible cell's days to.  Any
+    exception is re-raised as a :class:`TaskExecutionError` carrying the
+    cell's identity, so the parent never sees an anonymous traceback.
     """
     from repro.analysis import experiments
 
     try:
-        result = _run_task(task, use_disk_cache)
+        result = _run_task(task, use_disk_cache, lanes)
     except Exception as err:
         raise _wrap_error(task.label(), err) from err
     return experiments._result_to_json(result)
@@ -498,6 +498,76 @@ def _execute_day_chunk_payload(
         raise _wrap_error(f"day chunk [{labels}]", err) from err
 
 
+def _fold_days(
+    task: YearTask, days: Sequence[int], payloads: Sequence[dict]
+) -> YearResult:
+    """Fold one unfolded cell's per-day payloads, in day order.
+
+    Appends and energy accumulation visit the days in sampled order —
+    the same float additions in the same order as the scalar
+    ``run_year`` — so the folded result is bit-identical to the
+    day-sequential cell.
+    """
+    from repro.analysis import experiments
+
+    system, _ = experiments._resolve_system(task.system)
+    result = YearResult(
+        label="Baseline" if isinstance(system, str) else system.name,
+        climate_name=task.climate.name,
+        sampled_days=list(days),
+        daily_worst_range_c=[p["worst_range_c"] for p in payloads],
+        daily_outside_range_c=[p["outside_range_c"] for p in payloads],
+        daily_avg_violation_c=[p["avg_violation_c"] for p in payloads],
+        daily_max_rate_c_per_hour=[
+            p["max_rate_c_per_hour"] for p in payloads
+        ],
+        cooling_kwh=0.0,
+        it_kwh=0.0,
+        daily_degraded_fraction=[p["degraded_fraction"] for p in payloads],
+    )
+    for payload in payloads:
+        result.cooling_kwh += payload["cooling_kwh"]
+        result.it_kwh += payload["it_kwh"]
+        result.water_l += payload.get("water_l", 0.0)
+        result.tower_mech_hours += payload.get("tower_mech_hours", 0.0)
+        result.chiller_mech_hours += payload.get("chiller_mech_hours", 0.0)
+    return result
+
+
+def _chunk_size(units: int, workers: int, lanes: int) -> int:
+    """Lanes per chunk: ``units`` spread across the workers before lanes
+    fill, so one over-full batch never starves process parallelism."""
+    return max(1, min(lanes, -(-units // workers)))
+
+
+def _chunked(units: list, workers: int, lanes: int) -> List[list]:
+    size = _chunk_size(len(units), workers, lanes)
+    return [units[i : i + size] for i in range(0, len(units), size)]
+
+
+def _passes(units: int, workers: int, lanes: int) -> int:
+    """Lockstep chunks per worker for ``units`` lanes of work."""
+    chunks = -(-units // _chunk_size(units, workers, lanes))
+    return -(-chunks // workers)
+
+
+def unfold_pays(cells: int, days: int, workers: int, lanes: int) -> bool:
+    """Whether a lane group's ``cells`` unfold-eligible cells, of ``days``
+    sampled days each, should run as ``(cell, day)`` lanes.
+
+    Whole cells take ``days`` passes per chunk, unfolded ones one.  They
+    unfold exactly when the cells cannot fill the workers' lanes and
+    unfolding leaves fewer lockstep passes per worker.  A tie keeps whole
+    cells: every chunk pays a ``LaneRunner`` set-up, and unfolding makes
+    more of them.  ``lanes=1`` never unfolds.
+    """
+    if lanes < 2 or cells >= workers * lanes:
+        return False
+    return _passes(cells * days, workers, lanes) < days * _passes(
+        cells, workers, lanes
+    )
+
+
 def _warm_shared_state(tasks: Sequence[YearTask]) -> None:
     """Materialize traces and every needed cooling model before the pool.
 
@@ -546,12 +616,13 @@ def _run_task_with_retries(
     backoff_s: float,
     retried: Optional[List[str]],
     attempts_used: int = 0,
+    lanes: Optional[int] = None,
 ) -> YearResult:
     """In-process execution with retry/backoff; raises TaskExecutionError."""
     attempt = attempts_used
     while True:
         try:
-            return _run_task(task, use_disk_cache)
+            return _run_task(task, use_disk_cache, lanes)
         except Exception as err:  # noqa: BLE001 - converted to typed error
             attempt += 1
             if attempt > retries:
@@ -567,7 +638,6 @@ def run_year_tasks(
     use_disk_cache: bool = True,
     progress: Optional[ProgressCallback] = None,
     lanes: Optional[int] = None,
-    day_lanes: Optional[int] = None,
     task_retries: Optional[int] = None,
     task_timeout_s: Optional[float] = None,
     backoff_s: float = RETRY_BACKOFF_S,
@@ -589,17 +659,18 @@ def run_year_tasks(
     (or ``REPRO_SIM_ENGINE=scalar``) restores strictly per-cell runs.
     Results are bit-identical however the work is split.
 
-    ``day_lanes`` (default ``REPRO_DAY_UNFOLD``) unfolds each eligible
-    cell's sampled days into ``(cell, day)`` work items: consecutive runs
-    of up to ``day_lanes`` items — sibling days of one cell, or a mix of
-    cells — become one lockstep lane batch per chunk, and the per-day
-    metrics are folded back into each cell's :class:`YearResult` in day
-    order, bit-identical to the day-sequential run.  Cells whose days are
-    not provably independent (faulted, deferrable, temporal scheduling —
-    see :func:`repro.analysis.experiments.day_unfold_eligible`) keep the
-    day-sequential path, and serial/fallback execution of an unfolded
-    cell uses the in-worker unfold (``experiments.year_result`` with
-    ``day_lanes``) so every path computes the same bits.
+    When a lane group's cells cannot fill the workers' lanes, its
+    day-unfold-eligible cells unfold into ``(cell, day)`` work items
+    instead (:func:`unfold_pays` states the rule): up to ``lanes`` items
+    — sibling days of one cell, or a mix of cells — become one lockstep
+    batch per chunk, and the per-day metrics are folded back into each
+    cell's :class:`YearResult` in day order, bit-identical to the
+    day-sequential run.  Cells whose days are not provably independent
+    (faulted, deferrable, temporal scheduling — see
+    :func:`repro.sim.eligibility.decide_engine`) always run whole.  A
+    cell that runs whole outside a lane chunk (a single resubmission,
+    broken-pool recovery) goes through ``experiments.year_result`` with
+    the run's ``lanes``, which unfolds an eligible cell by itself.
 
     Streaming: ``consume`` is called with ``(index, task, result)`` as
     each cell completes (cache hits included), in completion order, and
@@ -647,7 +718,6 @@ def run_year_tasks(
     ):
         lanes = cost_model.suggested_lanes()
     lanes = resolve_lanes(lanes)
-    day_width = experiments.resolve_day_lanes(day_lanes, lanes)
     retries = resolve_task_retries(task_retries)
     timeout_s = resolve_task_timeout(task_timeout_s)
     ctx_name = resolve_mp_context(mp_context)
@@ -711,30 +781,6 @@ def run_year_tasks(
         else:
             pending.append(index)
 
-    # Day-unfolding: ``etasks`` are the *execution* tasks — an eligible
-    # cell gets its unfold width stamped on, so every execution path that
-    # runs a whole cell (serial, single resubmit, broken-pool recovery)
-    # still unfolds in-worker via ``experiments.year_result``.  Reporting
-    # (record/fail/consume/progress/cache keys) always uses the original
-    # ``tasks``; the two differ only in ``day_lanes``, which cache keys
-    # and labels ignore.
-    etasks: List[YearTask] = list(tasks)
-    day_cells: List[int] = []
-    if day_width > 1:
-        for index in pending:
-            task = tasks[index]
-            if experiments.day_unfold_eligible(
-                task.system, task.deferrable, plant=task.plant
-            ):
-                width = (
-                    task.day_lanes if task.day_lanes is not None else day_width
-                )
-                if width > 1:
-                    etasks[index] = dataclasses.replace(
-                        task, day_lanes=width
-                    )
-                    day_cells.append(index)
-
     exec_start = time.perf_counter()
 
     def observe_cost() -> None:
@@ -749,86 +795,135 @@ def run_year_tasks(
         """One cell in-process, with retries; records result or failure."""
         try:
             result = _run_task_with_retries(
-                etasks[index],
+                tasks[index],
                 use_disk_cache,
                 retries,
                 backoff_s,
                 retried,
                 attempts_used=attempts_used,
+                lanes=lanes,
             )
             record(index, result)
         except TaskExecutionError as err:
             fail(index, err, attempts=retries + 1)
 
-    # Partition the uncached cells: day-unfolded cells expand into
-    # (cell, day) work items; other lane-engine-compatible cells group by
-    # sampling stride (a lane batch steps all lanes over the same days)
-    # and cooling model (one stacked rollout per batch: the default
-    # model, or one fault log-gap schedule's); everything else —
-    # exotic-timing configs, the scalar engine, lanes=1 — runs one cell
-    # at a time.
-    unfolded = set(day_cells)
+    # The plan, shared by both executors.  Uncached lane-engine cells
+    # group by sampling stride (a lane batch steps all lanes over the
+    # same days) and cooling model (one stacked rollout per batch: the
+    # default model, or one fault log-gap schedule's).  A group whose
+    # eligible cells unfold (``unfold_pays``) turns them into (cell
+    # index, day position, day) items, in cell-then-day order; chunks of
+    # them may straddle cells, since every lane carries its own day, and
+    # ``day_state`` reassembles each cell in day position regardless of
+    # completion order.  The group's other cells chunk whole.  Everything
+    # else — exotic-timing configs, the scalar engine, lanes=1 — runs
+    # one cell at a time.
     singles: List[int] = []
-    lane_groups: dict = {}
+    chunks: List[List[int]] = []
+    day_chunks: List[List[Tuple[int, int, int]]] = []
+    day_state: Dict[int, dict] = {}
     if lanes > 1:
         from repro.sim.campaign import model_log_gaps
+        from repro.sim.eligibility import decide_engine
 
+        groups: Dict[tuple, List[int]] = {}
+        unfoldable: set = set()
         for index in pending:
-            if index in unfolded:
-                continue
-            system, _ = experiments._resolve_system(tasks[index].system)
-            if (
-                experiments.effective_engine(system, plant=tasks[index].plant)
-                == "lanes"
-            ):
-                sample = (
-                    tasks[index].sample_every_days
-                    or experiments.DEFAULT_SAMPLE_DAYS
-                )
-                lane_groups.setdefault(
-                    (sample, model_log_gaps(system)), []
-                ).append(index)
-            else:
+            task = tasks[index]
+            system, _ = experiments._resolve_system(task.system)
+            decision = decide_engine(
+                system,
+                experiments.DEFAULT_SIM_ENGINE,
+                plant=task.plant,
+                deferrable=task.deferrable,
+            )
+            if decision.engine != "lanes":
                 singles.append(index)
+                continue
+            if decision.day_unfold:
+                unfoldable.add(index)
+            sample = task.sample_every_days or experiments.DEFAULT_SAMPLE_DAYS
+            groups.setdefault((sample, model_log_gaps(system)), []).append(
+                index
+            )
+        for (sample, _), indices in groups.items():
+            days = sampled_days(sample)
+            eligible = [index for index in indices if index in unfoldable]
+            if eligible and unfold_pays(
+                len(eligible), len(days), workers, lanes
+            ):
+                items = []
+                for index in eligible:
+                    day_state[index] = {
+                        "days": days,
+                        "payloads": [None] * len(days),
+                        "filled": 0,
+                        "failed": False,
+                    }
+                    items.extend(
+                        (index, pos, day) for pos, day in enumerate(days)
+                    )
+                day_chunks.extend(_chunked(items, workers, lanes))
+                indices = [i for i in indices if i not in unfoldable]
+            if indices:
+                chunks.extend(_chunked(indices, workers, lanes))
     else:
-        singles = [i for i in pending if i not in unfolded]
+        singles = list(pending)
 
-    chunks: List[List[int]] = []
-    for indices in lane_groups.values():
-        # Spread each group across the workers before filling lanes, so a
-        # single over-full batch never starves process parallelism.
-        size = max(1, min(lanes, -(-len(indices) // workers)))
-        for i in range(0, len(indices), size):
-            chunks.append(indices[i : i + size])
+    def deliver_days(
+        items: Sequence[Tuple[int, int, int]], payloads: Sequence[dict]
+    ) -> None:
+        """Slot a day chunk's payloads; fold each cell once all are in.
 
-    # (cell index, day position, day) work items for the unfolded cells,
-    # in cell-then-day order, sliced into lockstep chunks of up to
-    # ``day_width`` lanes.  Chunks may straddle cells — every lane carries
-    # its own day — and the per-cell ``day_state`` fold reassembles each
-    # cell's payloads in day position regardless of completion order.
-    day_items: List[Tuple[int, int, int]] = []
-    day_state: Dict[int, dict] = {}
-    for index in day_cells:
-        days = sampled_days(
-            tasks[index].sample_every_days or experiments.DEFAULT_SAMPLE_DAYS
-        )
-        day_state[index] = {
-            "days": days,
-            "payloads": [None] * len(days),
-            "filled": 0,
-            "failed": False,
-        }
-        for pos, day in enumerate(days):
-            day_items.append((index, pos, day))
+        The parent writes unfolded cells to the cache (workers only ever
+        see fragments of them).
+        """
+        for (index, pos, _day), payload in zip(items, payloads):
+            state = day_state.get(index)
+            if state is None or state["failed"]:
+                continue
+            state["payloads"][pos] = payload
+            state["filled"] += 1
+            if state["filled"] == len(state["payloads"]):
+                del day_state[index]
+                result = _fold_days(
+                    tasks[index], state["days"], state["payloads"]
+                )
+                experiments.store_result(
+                    task_key(index),
+                    result,
+                    use_disk_cache,
+                    cache_memory=keep_results,
+                )
+                record(index, result)
 
-    day_chunks: List[List[Tuple[int, int, int]]] = []
-    if day_items:
-        # Spread across workers before filling lanes, like lane chunks.
-        size = max(1, min(day_width, -(-len(day_items) // workers)))
-        for i in range(0, len(day_items), size):
-            day_chunks.append(day_items[i : i + size])
-
-    if workers == 1 or (len(singles) + len(chunks) + len(day_cells)) <= 1:
+    if workers == 1 or len(singles) + len(chunks) + len(day_chunks) <= 1:
+        # The same plan, in-process: no pool, no pickling.
+        for items in day_chunks:
+            items = [
+                item for item in items if not day_state[item[0]]["failed"]
+            ]
+            if not items:
+                continue
+            try:
+                payloads = _run_day_chunk(
+                    [(tasks[i], day) for i, _, day in items], use_disk_cache
+                )
+            except Exception as err:  # noqa: BLE001 - isolate per cell
+                # Like a failed lane chunk: re-run its cells whole, one at
+                # a time, so the rest still finish.
+                cells = list(dict.fromkeys(i for i, _, _ in items))
+                logger.warning(
+                    "day chunk failed (%s); re-running its %d cells "
+                    "individually",
+                    err,
+                    len(cells),
+                )
+                for index in cells:
+                    day_state[index]["failed"] = True
+                    run_serial_cell(index, attempts_used=1)
+                continue
+            deliver_days(items, payloads)
         for chunk in chunks:
             try:
                 chunk_results = _run_lane_chunk(
@@ -848,11 +943,6 @@ def run_year_tasks(
                 continue
             for index, result in zip(chunk, chunk_results):
                 record(index, result)
-        # Unfolded cells run whole-cell in-process: the stamped etask
-        # routes ``year_result`` through ``run_year_unfolded``, which
-        # computes the same lockstep batches a pooled run would.
-        for index in day_cells:
-            run_serial_cell(index)
         for index in singles:
             run_serial_cell(index)
         observe_cost()
@@ -881,110 +971,55 @@ def run_year_tasks(
 
     not_done: set = set()
 
-    def submit_chunk(chunk: List[int]) -> None:
+    def submit(target, cells: List[int], fn, *args) -> None:
         nonlocal broken
         try:
-            future = executor.submit(
-                _execute_lane_chunk_payload,
-                [tasks[i] for i in chunk],
-                use_disk_cache,
-            )
+            future = executor.submit(fn, *args)
         except BrokenProcessPool:
             broken = True
-            lost.extend(chunk)
+            lost.extend(cells)
             return
         except RuntimeError:
-            lost.extend(chunk)
+            lost.extend(cells)
             return
-        futures[future] = chunk
+        futures[future] = target
         not_done.add(future)
+
+    def submit_chunk(chunk: List[int]) -> None:
+        submit(
+            chunk,
+            chunk,
+            _execute_lane_chunk_payload,
+            [tasks[i] for i in chunk],
+            use_disk_cache,
+        )
 
     def submit_single(index: int) -> None:
-        nonlocal broken
-        try:
-            future = executor.submit(
-                _execute_task_payload, etasks[index], use_disk_cache
-            )
-        except BrokenProcessPool:
-            broken = True
-            lost.append(index)
-            return
-        except RuntimeError:
-            lost.append(index)
-            return
-        futures[future] = index
-        not_done.add(future)
+        submit(
+            index,
+            [index],
+            _execute_task_payload,
+            tasks[index],
+            use_disk_cache,
+            lanes,
+        )
 
     def submit_day_chunk(items: List[Tuple[int, int, int]]) -> None:
-        nonlocal broken
-        cells = sorted({i for i, _, _ in items})
-        try:
-            future = executor.submit(
-                _execute_day_chunk_payload,
-                [(tasks[i], day) for i, _, day in items],
-                use_disk_cache,
-            )
-        except BrokenProcessPool:
-            broken = True
-            lost.extend(cells)
-            return
-        except RuntimeError:
-            lost.extend(cells)
-            return
-        futures[future] = ("days", items)
-        not_done.add(future)
-
-    def fold_day_cell(index: int) -> None:
-        """All of a cell's day payloads arrived: fold them in day order.
-
-        Appends and energy accumulation visit the days in sampled order —
-        the same float additions in the same order as the scalar
-        ``run_year`` — so the folded result is bit-identical to the
-        day-sequential cell.  The parent is the cache writer for day
-        chunks (workers only ever see fragments of the cell).
-        """
-        task = tasks[index]
-        state = day_state.pop(index)
-        payloads = state["payloads"]
-        system, _ = experiments._resolve_system(task.system)
-        result = YearResult(
-            label="Baseline" if isinstance(system, str) else system.name,
-            climate_name=task.climate.name,
-            sampled_days=state["days"],
-            daily_worst_range_c=[p["worst_range_c"] for p in payloads],
-            daily_outside_range_c=[p["outside_range_c"] for p in payloads],
-            daily_avg_violation_c=[p["avg_violation_c"] for p in payloads],
-            daily_max_rate_c_per_hour=[
-                p["max_rate_c_per_hour"] for p in payloads
-            ],
-            cooling_kwh=0.0,
-            it_kwh=0.0,
-            daily_degraded_fraction=[
-                p["degraded_fraction"] for p in payloads
-            ],
+        submit(
+            ("days", items),
+            sorted({i for i, _, _ in items}),
+            _execute_day_chunk_payload,
+            [(tasks[i], day) for i, _, day in items],
+            use_disk_cache,
         )
-        for payload in payloads:
-            result.cooling_kwh += payload["cooling_kwh"]
-            result.it_kwh += payload["it_kwh"]
-            result.water_l += payload.get("water_l", 0.0)
-            result.tower_mech_hours += payload.get("tower_mech_hours", 0.0)
-            result.chiller_mech_hours += payload.get(
-                "chiller_mech_hours", 0.0
-            )
-        key = task_key(index)
-        if use_disk_cache:
-            experiments._write_disk_entry(key, result)
-        if keep_results:
-            experiments.store_result(key, result, use_disk_cache=False)
-        record(index, result)
 
     def day_cell_failed(index: int, err: BaseException) -> None:
         """A chunk carrying one of this cell's days failed.
 
         The whole cell falls back to a single-cell resubmission (which
-        still unfolds in-worker via its stamped etask), inheriting the
-        attempt count; sibling day payloads still in flight are ignored
-        once the cell is marked failed.
+        ``experiments.year_result`` unfolds in-worker to the run's
+        lanes), inheriting the attempt count; sibling day payloads still
+        in flight are ignored once the cell is marked failed.
         """
         state = day_state.get(index)
         if state is None or state["failed"]:
@@ -1036,16 +1071,7 @@ def run_year_tasks(
                         for index in cells:
                             day_cell_failed(index, err)
                         continue
-                    for (index, pos, _day), payload in zip(
-                        items, day_payloads
-                    ):
-                        state = day_state.get(index)
-                        if state is None or state["failed"]:
-                            continue
-                        state["payloads"][pos] = payload
-                        state["filled"] += 1
-                        if state["filled"] == len(state["payloads"]):
-                            fold_day_cell(index)
+                    deliver_days(items, day_payloads)
                     continue
                 indices = target if isinstance(target, list) else [target]
                 try:

@@ -24,10 +24,10 @@ in CI):
 
 ``matrix`` and ``world`` fan out over worker processes (``--workers`` /
 ``REPRO_WORKERS``) with ``--lanes`` / ``REPRO_LANES`` scenarios stepped in
-lockstep per worker by the lane-batched engine, optionally unfolding each
-eligible cell's sampled year-days into lanes too (``--day-lanes`` /
-``REPRO_DAY_UNFOLD``; see ``docs/EXPERIMENTS.md``), and reuse the on-disk
-result cache under ``.cache/``.  ``serve``/``submit``/``status``/``cancel`` are the service
+lockstep per worker by the lane-batched engine, unfolding eligible cells'
+sampled year-days into lanes too when the cells alone cannot fill them
+(see ``docs/EXPERIMENTS.md``), and reuse the on-disk result cache under
+``.cache/``.  ``serve``/``submit``/``status``/``cancel`` are the service
 mode: one persistent worker pool serving many concurrent campaign
 requests with priorities, cancellation, and cross-request dedupe
 (see ``docs/SERVICE.md``).
@@ -285,7 +285,6 @@ def cmd_year(args: argparse.Namespace) -> int:
         deferrable=args.system.endswith("DEF"),
         sample_every_days=args.sample_days,
         use_disk_cache=not args.no_cache,
-        day_lanes=args.day_lanes,
         plant=args.plant,
     )
     print(result.summary_row())
@@ -324,7 +323,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         sample_every_days=args.sample_days,
         workers=workers,
         lanes=args.lanes,
-        day_lanes=args.day_lanes,
         progress=None if args.quiet else _progress,
         task_retries=args.task_retries,
         task_timeout_s=args.task_timeout,
@@ -417,7 +415,6 @@ def cmd_world(args: argparse.Namespace) -> int:
         num_locations=args.grid_points or args.locations,
         workers=workers,
         lanes=args.lanes,
-        day_lanes=args.day_lanes,
         progress=None if args.quiet else _progress,
         task_retries=args.task_retries,
         task_timeout_s=args.task_timeout,
@@ -488,7 +485,6 @@ def _submit_spec(args: argparse.Namespace):
             systems=tuple(args.systems.split(",")),
             workload=args.workload,
             sample_every_days=args.sample_days,
-            day_lanes=args.day_lanes,
             plant=plant,
         )
     if args.kind == "world":
@@ -499,7 +495,6 @@ def _submit_spec(args: argparse.Namespace):
             coolair_system=args.coolair_system,
             sample_every_days=args.sample_days,
             screen=args.screen or "off",
-            day_lanes=args.day_lanes,
             plant=plant,
         )
     return CampaignSpec(
@@ -509,7 +504,6 @@ def _submit_spec(args: argparse.Namespace):
         scenarios=tuple(args.scenarios.split(",")) if args.scenarios else (),
         workload=args.workload,
         sample_every_days=args.sample_days,
-        day_lanes=args.day_lanes,
         plant=plant,
     )
 
@@ -664,10 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     year.add_argument("--workload", default="facebook")
     year.add_argument("--sample-days", type=int, default=DEFAULT_SAMPLE_DAYS,
                       help="stride between simulated days (7 = paper)")
-    year.add_argument("--day-lanes", type=int, default=None,
-                      help="sampled year-days stepped in lockstep when the "
-                           "cell is unfold-eligible (default "
-                           "REPRO_DAY_UNFOLD; 1 = day-sequential)")
     year.add_argument("--no-cache", action="store_true",
                       help="bypass the on-disk result cache")
     _add_plant_arg(year)
@@ -684,10 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--lanes", type=int, default=None,
                         help="scenarios stepped in lockstep per worker "
                              "(default REPRO_LANES; 1 = per-cell runs)")
-    matrix.add_argument("--day-lanes", type=int, default=None,
-                        help="sampled year-days stepped in lockstep per "
-                             "eligible cell (default REPRO_DAY_UNFOLD; "
-                             "1 = day-sequential)")
     matrix.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress on stderr")
     matrix.add_argument("--task-retries", type=int, default=None,
@@ -724,10 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     world.add_argument("--lanes", type=int, default=None,
                        help="scenarios stepped in lockstep per worker "
                             "(default REPRO_LANES; 1 = per-cell runs)")
-    world.add_argument("--day-lanes", type=int, default=None,
-                       help="sampled year-days stepped in lockstep per "
-                            "eligible cell (default REPRO_DAY_UNFOLD; "
-                            "1 = day-sequential)")
     world.add_argument("--quiet", action="store_true",
                        help="suppress per-cell progress on stderr")
     world.add_argument("--task-retries", type=int, default=None,
@@ -811,10 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matrix/faults: facebook or nutch")
     submit.add_argument("--sample-days", type=int, default=None,
                         help="stride between simulated days (7 = paper)")
-    submit.add_argument("--day-lanes", type=int, default=None,
-                        help="sampled year-days stepped in lockstep per "
-                             "eligible cell inside each worker "
-                             "(1 = day-sequential)")
     submit.add_argument("--locations", type=int,
                         default=DEFAULT_WORLD_LOCATIONS,
                         help="world: grid size (1520 = paper)")

@@ -80,7 +80,9 @@ class CoolAirConfig:
     model_step_s: int = constants.MODEL_STEP_S
     # Fault injection (docs/ROBUSTNESS.md).  None or an empty schedule
     # leaves every simulation path bit-identical to the fault-free build;
-    # a non-empty schedule forces the scalar engine (effective_engine).
+    # faulted cells ride the lane engine with per-lane fault channels, but
+    # never unfold their days: fault state carries across days
+    # (repro.sim.eligibility.decide_engine).
     faults: Optional[FaultSchedule] = None
 
     def __post_init__(self) -> None:

@@ -15,6 +15,7 @@ compressor-on and compressor-off models, weighted by compressor duty.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +28,13 @@ from repro.physics.psychrometrics import (
     absolute_to_relative_humidity,
     absolute_to_relative_humidity_array,
 )
+
+# Plan combos whose assembled cross-lane rollout bookkeeping a predictor
+# keeps, least recently used evicted first.  Every entry copies its
+# lanes' plan arrays: unbounded, one 5-lane All-ND chunk held 9.7 MB of
+# them and one 10-lane day chunk 14.5 MB, while 16 entries keep 91-92%
+# of their hits (docs/PERFORMANCE.md).
+LANE_COMBO_CACHE_SIZE = 16
 
 
 @dataclasses.dataclass
@@ -59,6 +67,7 @@ class CoolingPredictor:
         # (mode, candidate set).
         self._power_cache: dict = {}
         self._batch_plans: dict = {}
+        self._lane_combo_cache: OrderedDict = OrderedDict()
 
     def predict(
         self,
@@ -430,17 +439,17 @@ class CoolingPredictor:
         # Global (cross-lane) candidate and row bookkeeping.  Everything
         # below is either a gather of exact values or an elementwise /
         # row-wise operation, so stacking lanes never mixes their numerics.
-        # It all derives from the per-lane plans alone (plan objects are
-        # cached for the predictor's lifetime, so their ids are stable
-        # keys), and lane batches revisit the same handful of plan combos
-        # every control period — cache the assembled bookkeeping per combo.
-        cache = getattr(self, "_lane_combo_cache", None)
-        if cache is None:
-            cache = {}
-            self._lane_combo_cache = cache
+        # It all derives from the per-lane plans alone (``_batch_plans``
+        # keeps plan objects for the predictor's lifetime, so their ids
+        # are stable keys), and lane batches revisit a handful of plan
+        # combos every control period — cache the assembled bookkeeping
+        # per combo, bounded to the most recent LANE_COMBO_CACHE_SIZE.
+        cache = self._lane_combo_cache
         combo_key = (steps, *map(id, plans))
         entry = cache.get(combo_key)
-        if entry is None:
+        if entry is not None:
+            cache.move_to_end(combo_key)
+        else:
             cand_counts = np.array([len(c) for c in commands_per_lane])
             cand_offsets = np.concatenate(([0], np.cumsum(cand_counts)))
             total_cands = int(cand_offsets[-1])
@@ -514,7 +523,6 @@ class CoolingPredictor:
                 ac_full_per_lane.append(ac_full_flags)
 
             entry = (
-                plans,  # pins the plan objects so their ids stay valid
                 cand_counts,
                 total_cands,
                 row_counts,
@@ -538,8 +546,9 @@ class CoolingPredictor:
                 ac_full_per_lane,
             )
             cache[combo_key] = entry
+            if len(cache) > LANE_COMBO_CACHE_SIZE:
+                cache.popitem(last=False)
         (
-            _,
             cand_counts,
             total_cands,
             row_counts,

@@ -138,13 +138,6 @@ class CampaignSpec:
     scenarios: Tuple[str, ...] = ()
     cells: Tuple[CellSpec, ...] = ()
     screen: str = "off"
-    # Day-unfold width stamped on every expanded cell: eligible cells
-    # step their sampled year-days as lockstep lanes inside the worker
-    # (``experiments.year_result`` gates eligibility per cell and falls
-    # back to the day-sequential path otherwise).  Results are
-    # bit-identical either way and cache keys ignore the width, so
-    # cross-request dedupe is unaffected.
-    day_lanes: Optional[int] = None
     # Cooling-plant backend stamped on every expanded cell.  Non-parasol
     # plants carry their own cache-key token, so a chiller campaign never
     # dedupes against a parasol one.
@@ -186,10 +179,6 @@ class CampaignSpec:
             raise SpecError(
                 "sample_every_days must be >= 1, got "
                 f"{self.sample_every_days}"
-            )
-        if self.day_lanes is not None and self.day_lanes < 1:
-            raise SpecError(
-                f"day_lanes must be >= 1, got {self.day_lanes}"
             )
         from repro.cooling.backends import PLANTS
 
@@ -241,8 +230,6 @@ class CampaignSpec:
             payload["cells"] = [cell.to_json() for cell in self.cells]
         if self.sample_every_days is not None:
             payload["sample_every_days"] = self.sample_every_days
-        if self.day_lanes is not None:
-            payload["day_lanes"] = self.day_lanes
         if self.plant != "parasol":
             payload["plant"] = self.plant
         return payload
@@ -299,11 +286,6 @@ class CampaignSpec:
                 )
         else:
             tasks = [cell.to_task() for cell in self.cells]
-        if self.day_lanes is not None and self.day_lanes > 1:
-            tasks = [
-                dataclasses.replace(task, day_lanes=self.day_lanes)
-                for task in tasks
-            ]
         if self.plant != "parasol":
             tasks = [
                 dataclasses.replace(task, plant=self.plant)

@@ -1090,8 +1090,8 @@ def run_year_unfolded(
     Only valid for scenarios whose days are independent: no faults (fault
     state carries across days, so a faulted scenario is refused) and no
     temporal scheduling (the scheduler mutates the trace across days).
-    Callers gate on
-    :func:`repro.analysis.experiments.day_unfold_eligible`.
+    Callers gate on ``day_unfold`` from
+    :func:`repro.sim.eligibility.decide_engine`.
     """
     if day_lanes < 1:
         raise ConfigError(f"day_lanes must be >= 1, got {day_lanes}")

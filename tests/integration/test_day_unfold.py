@@ -16,9 +16,10 @@ unfold at all.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.analysis import experiments
+from repro.analysis import experiments, runner
 from repro.analysis.runner import YearTask, run_year_tasks
 from repro.core.config import TemporalPolicy
 from repro.core.versions import ALL_VERSIONS
@@ -84,6 +85,50 @@ def test_unfolded_rejects_non_positive_width(facebook_trace):
     )
     with pytest.raises(ConfigError):
         run_year_unfolded(scenario, 0)
+
+
+def test_lane_combo_cache_is_bounded(
+    cooling_model, facebook_trace, monkeypatch
+):
+    """A 4-day, 8-lane CoolAir chunk keeps at most
+    ``LANE_COMBO_CACHE_SIZE`` plan combos per predictor, and evicting
+    them changes no bit of any lane's day."""
+    from repro.core import predictor
+    from repro.sim.lanes import LaneRunner
+    from repro.sim.yearsim import sampled_days
+
+    days = sampled_days(92)
+    scenarios = [
+        LaneScenario(
+            system=ALL_VERSIONS["All-ND"](),
+            climate=climate,
+            trace=facebook_trace,
+        )
+        for climate in (NEWARK, CHAD)
+        for _ in days
+    ]
+
+    def run_chunk():
+        lanes = LaneRunner(scenarios, model=cooling_model)
+        metrics, _ = lanes.run_day(days * 2)
+        caches = {
+            id(lane.coolair.predictor): lane.coolair.predictor._lane_combo_cache
+            for lane in lanes.lanes
+        }
+        return metrics, max(len(cache) for cache in caches.values())
+
+    bound = predictor.LANE_COMBO_CACHE_SIZE
+    bounded, held = run_chunk()
+    assert len(bounded) == 8
+    assert held <= bound
+    monkeypatch.setattr(predictor, "LANE_COMBO_CACHE_SIZE", 10**9)
+    unbounded, unbounded_held = run_chunk()
+    # The chunk visits more combos than the bound, so entries were evicted.
+    assert unbounded_held > bound
+    for a, b in zip(bounded, unbounded):
+        assert a.keys() == b.keys()
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
 
 
 @pytest.mark.slow
@@ -170,7 +215,7 @@ class TestEligibilityGate:
     def test_ineligible_cell_falls_back_in_year_result(
         self, tmp_path, monkeypatch
     ):
-        """``day_lanes`` on an ineligible cell routes day-sequentially."""
+        """An ineligible cell stays day-sequential at any lane width."""
         monkeypatch.setattr(experiments, "CACHE_DIR", tmp_path / "cache")
         monkeypatch.setattr(experiments, "_memory_cache", {})
         unfolded = experiments.year_result(
@@ -179,7 +224,7 @@ class TestEligibilityGate:
             deferrable=True,
             sample_every_days=366,
             use_disk_cache=False,
-            day_lanes=8,
+            lanes=8,
         )
         monkeypatch.setattr(experiments, "_memory_cache", {})
         sequential = experiments.year_result(
@@ -188,12 +233,48 @@ class TestEligibilityGate:
             deferrable=True,
             sample_every_days=366,
             use_disk_cache=False,
+            lanes=1,
         )
         assert dataclasses.asdict(unfolded) == dataclasses.asdict(sequential)
 
 
+def test_lone_cell_unfolds_in_year_result(tmp_path, monkeypatch):
+    """``year_result`` unfolds an eligible cell to the default lane width,
+    bit-equal to the same cell stepped day by day (``lanes=1``)."""
+    import repro.sim.lanes as lanes_module
+
+    monkeypatch.setattr(experiments, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(experiments, "_memory_cache", {})
+    widths = []
+    real = lanes_module.run_year_unfolded
+
+    def spy(scenario, day_lanes, **kwargs):
+        widths.append(day_lanes)
+        return real(scenario, day_lanes, **kwargs)
+
+    monkeypatch.setattr(lanes_module, "run_year_unfolded", spy)
+    unfolded = experiments.year_result(
+        "baseline", NEWARK, sample_every_days=FAST_STRIDE, use_disk_cache=False
+    )
+    assert widths == [experiments.DEFAULT_LANES]
+    monkeypatch.setattr(experiments, "_memory_cache", {})
+    sequential = experiments.year_result(
+        "baseline",
+        NEWARK,
+        sample_every_days=FAST_STRIDE,
+        use_disk_cache=False,
+        lanes=1,
+    )
+    assert widths == [experiments.DEFAULT_LANES]
+    assert dataclasses.asdict(unfolded) == dataclasses.asdict(sequential)
+
+
 class TestRunnerDayChunking:
-    """The campaign runner's parent-side (cell, day) fan-out."""
+    """The campaign runner's parent-side (cell, day) fan-out.
+
+    Two cells of three days leave lanes empty at these widths, so the
+    runner unfolds them; ``lanes=1`` is the day-sequential reference.
+    """
 
     @pytest.fixture()
     def fresh_caches(self, tmp_path, monkeypatch):
@@ -207,14 +288,29 @@ class TestRunnerDayChunking:
             YearTask("baseline", CHAD, sample_every_days=FAST_STRIDE),
         ]
 
+    def _spy_day_chunks(self, monkeypatch):
+        widths = []
+        real = runner._run_day_chunk
+
+        def spy(items, use_disk_cache):
+            widths.append(len(items))
+            return real(items, use_disk_cache)
+
+        monkeypatch.setattr(runner, "_run_day_chunk", spy)
+        return widths
+
     def test_serial_day_unfold_equals_sequential(self, fresh_caches):
         sequential = run_year_tasks(
-            self._tasks(), workers=1, day_lanes=1, use_disk_cache=False
+            self._tasks(), workers=1, lanes=1, use_disk_cache=False
         )
         fresh_caches.setattr(experiments, "_memory_cache", {})
+        widths = self._spy_day_chunks(fresh_caches)
         unfolded = run_year_tasks(
-            self._tasks(), workers=1, day_lanes=3, use_disk_cache=False
+            self._tasks(), workers=1, lanes=3, use_disk_cache=False
         )
+        # 6 (cell, day) items in two 3-lane passes, against 3 whole-cell
+        # passes of a 2-lane chunk.
+        assert widths == [3, 3]
         for a, b in zip(sequential, unfolded):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
@@ -224,12 +320,41 @@ class TestRunnerDayChunking:
     )
     def test_pooled_day_chunks_equal_sequential(self, fresh_caches):
         """2 workers x 3-day chunks straddling cells == the serial run."""
+        assert runner.unfold_pays(2, 3, workers=2, lanes=3)
         sequential = run_year_tasks(
-            self._tasks(), workers=1, day_lanes=1, use_disk_cache=False
+            self._tasks(), workers=1, lanes=1, use_disk_cache=False
         )
         fresh_caches.setattr(experiments, "_memory_cache", {})
         chunked = run_year_tasks(
-            self._tasks(), workers=2, day_lanes=3, use_disk_cache=False
+            self._tasks(), workers=2, lanes=3, use_disk_cache=False
         )
         for a, b in zip(sequential, chunked):
+            assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+    def test_in_process_plan_equals_scalar(self, fresh_caches):
+        """workers=1 runs the pooled plan in-process, bit-equal to scalar.
+
+        Three cells of two days unfold into one 6-lane day chunk (one
+        pass) instead of one 3-lane chunk stepped twice.
+        """
+        tasks = [
+            YearTask("baseline", NEWARK, sample_every_days=183),
+            YearTask("All-ND", CHAD, sample_every_days=183),
+            YearTask("Variation", NEWARK, sample_every_days=183),
+        ]
+        fresh_caches.setattr(experiments, "DEFAULT_SIM_ENGINE", "scalar")
+        scalar = run_year_tasks(tasks, workers=1, use_disk_cache=False)
+        fresh_caches.setattr(experiments, "DEFAULT_SIM_ENGINE", "lanes")
+        fresh_caches.setattr(experiments, "_memory_cache", {})
+        widths = self._spy_day_chunks(fresh_caches)
+        fresh_caches.setattr(
+            runner,
+            "_run_lane_chunk",
+            lambda *a, **k: pytest.fail("whole-cell chunk in the plan"),
+        )
+        unfolded = run_year_tasks(
+            tasks, workers=1, lanes=8, use_disk_cache=False
+        )
+        assert widths == [6]
+        for a, b in zip(scalar, unfolded):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)

@@ -17,9 +17,27 @@ from repro.cli import build_parser, main
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
+@pytest.fixture(scope="session")
+def quick_bench(cooling_model):
+    """One real quick-suite run, shared by every test here that needs
+    its results (CI's bench-smoke step runs the real suite too)."""
+    return profiling.run_bench(quick=True, model=cooling_model)
+
+
+@pytest.fixture()
+def replay_quick_bench(quick_bench, monkeypatch):
+    """Serve the shared quick run to the CLI instead of re-running it."""
+
+    def run_bench(quick, model):
+        assert quick is True
+        return quick_bench
+
+    monkeypatch.setattr(profiling, "run_bench", run_bench)
+
+
 class TestQuickSuite:
-    def test_run_bench_quick(self, cooling_model):
-        results = profiling.run_bench(quick=True, model=cooling_model)
+    def test_run_bench_quick(self, quick_bench):
+        results = quick_bench
         assert set(results) == {
             "plant_step", "optimizer_decision", "day_sim", "world_chunk",
             "plant_world_chunk", "fault_chunk", "year_unfold", "world_100k",
@@ -129,9 +147,11 @@ class TestCli:
         assert args.output == "BENCH_sim_core.json"
         assert args.profile is False
 
-    def test_bench_quick_end_to_end(self, cooling_model, tmp_path, capsys):
-        # cooling_model pre-populates the in-process campaign cache, so the
-        # CLI's trained_cooling_model() call is free.
+    def test_bench_quick_end_to_end(
+        self, replay_quick_bench, tmp_path, capsys
+    ):
+        # cooling_model (behind quick_bench) pre-populates the in-process
+        # campaign cache, so the CLI's trained_cooling_model() call is free.
         out = tmp_path / "BENCH_sim_core.json"
         assert main(
             ["bench", "--quick", "--no-history", "--output", str(out)]
@@ -179,7 +199,7 @@ class TestHistory:
         )
 
     def test_cli_passes_label_through(
-        self, cooling_model, tmp_path, monkeypatch, capsys
+        self, replay_quick_bench, tmp_path, monkeypatch, capsys
     ):
         seen = {}
         real_append = profiling.append_history
@@ -200,7 +220,7 @@ class TestHistory:
         assert "appended run @" in capsys.readouterr().out
 
     def test_no_history_skips_the_log(
-        self, cooling_model, tmp_path, monkeypatch, capsys
+        self, replay_quick_bench, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(
             profiling,

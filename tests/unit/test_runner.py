@@ -200,10 +200,16 @@ class TestResolveLanes:
 
 
 class TestLaneChunking:
-    """Uncached lane-compatible cells batch into lockstep chunks."""
+    """Uncached lane-compatible cells batch into lockstep chunks.
+
+    These tests pin whole-cell chunking, so ``_record_chunks`` turns the
+    day-unfold rule off; ``TestDayUnfoldRule`` covers the rule and the
+    day chunks it plans.
+    """
 
     def _record_chunks(self, monkeypatch):
         chunks = []
+        monkeypatch.setattr(runner, "unfold_pays", lambda *a, **k: False)
 
         def fake_chunk(chunk, use_disk_cache):
             chunks.append(list(chunk))
@@ -290,22 +296,27 @@ class TestLaneChunking:
         ]
 
     def test_lanes_1_restores_per_cell_runs(self, lane_cache, monkeypatch):
-        monkeypatch.setattr(
-            runner,
-            "_run_lane_chunk",
-            lambda *a, **k: pytest.fail("lane chunk built with lanes=1"),
-        )
-        monkeypatch.setattr(
-            experiments,
-            "run_year",
-            lambda system, climate, *a, **k: fake_result(
-                climate=climate.name
-            ),
-        )
+        for name in ("_run_lane_chunk", "_run_day_chunk"):
+            monkeypatch.setattr(
+                runner,
+                name,
+                lambda *a, name=name, **k: pytest.fail(
+                    f"{name} called with lanes=1"
+                ),
+            )
+        calls = []
+
+        def fake_year_result(system, climate, *a, lanes=None, **k):
+            calls.append((climate.name, lanes))
+            return fake_result(climate=climate.name)
+
+        monkeypatch.setattr(experiments, "year_result", fake_year_result)
         results = runner.run_year_tasks(
             baseline_tasks(NEWARK, SANTIAGO), workers=1, lanes=1
         )
         assert [r.climate_name for r in results] == ["Newark", "Santiago"]
+        # One whole cell per call, told to keep its days sequential.
+        assert calls == [("Newark", 1), ("Santiago", 1)]
 
     def test_scalar_engine_skips_lane_batching(self, lane_cache, monkeypatch):
         monkeypatch.setattr(experiments, "DEFAULT_SIM_ENGINE", "scalar")
@@ -344,6 +355,148 @@ class TestLaneChunking:
         # The fakes ran in forked workers; the parent's recorder stays
         # empty, which itself proves the pool path was taken.
         assert chunks == []
+
+
+def fake_day_payload(day):
+    return {
+        "worst_range_c": float(day),
+        "outside_range_c": 1.0,
+        "avg_violation_c": 0.0,
+        "max_rate_c_per_hour": 2.0,
+        "cooling_kwh": 0.5,
+        "it_kwh": 4.0,
+        "water_l": 0.0,
+        "tower_mech_hours": 0.0,
+        "chiller_mech_hours": 0.0,
+        "degraded_fraction": 0.0,
+    }
+
+
+class TestDayUnfoldRule:
+    """When ``run_year_tasks`` unfolds a lane group's cells into days."""
+
+    @pytest.mark.parametrize(
+        "cells, days, workers, lanes, cell_passes, day_passes, unfold",
+        [
+            (5, 2, 2, 8, 2, 1, True),  # a small_campaigns query
+            (1, 27, 2, 8, 27, 2, True),  # a lone cell
+            (5, 2, 1, 8, 2, 2, False),  # one worker: a tie keeps cells
+            (25, 4, 2, 8, 8, 7, False),  # paper_matrix fills the lanes
+            (48, 4, 2, 8, 12, 12, False),  # plant_world fills the lanes
+            (1, 27, 2, 1, 27, 14, False),  # lanes=1 never unfolds
+        ],
+    )
+    def test_decision_table(
+        self, cells, days, workers, lanes, cell_passes, day_passes, unfold
+    ):
+        assert days * runner._passes(cells, workers, lanes) == cell_passes
+        assert runner._passes(cells * days, workers, lanes) == day_passes
+        assert runner.unfold_pays(cells, days, workers, lanes) is unfold
+
+    def _record(self, monkeypatch):
+        """Fake both chunk runners; returns (lane chunks, day chunks)."""
+        lane_chunks, day_chunks = [], []
+
+        def fake_lane_chunk(chunk, use_disk_cache):
+            lane_chunks.append([task.climate.name for task in chunk])
+            return [fake_result(climate=t.climate.name) for t in chunk]
+
+        def fake_day_chunk(items, use_disk_cache):
+            day_chunks.append(
+                [(task.climate.name, day) for task, day in items]
+            )
+            return [fake_day_payload(day) for _, day in items]
+
+        monkeypatch.setattr(runner, "_run_lane_chunk", fake_lane_chunk)
+        monkeypatch.setattr(runner, "_run_day_chunk", fake_day_chunk)
+        monkeypatch.setattr(
+            runner,
+            "_run_task",
+            lambda *a, **k: pytest.fail("cell left the planned chunks"),
+        )
+        return lane_chunks, day_chunks
+
+    def test_ineligible_cells_stay_whole_in_an_unfolding_group(
+        self, lane_cache, monkeypatch
+    ):
+        """Eligible cells unfold; a faulted cell of the same group (one
+        stride, one cooling model) still runs as a whole-cell chunk."""
+        import dataclasses
+
+        from repro.core.versions import ALL_VERSIONS
+        from repro.faults import builtin_scenario
+
+        lane_chunks, day_chunks = self._record(monkeypatch)
+        faulted = dataclasses.replace(
+            ALL_VERSIONS["All-ND"](), faults=builtin_scenario("sensor-spike")
+        )
+        tasks = [
+            runner.YearTask("baseline", NEWARK, sample_every_days=183),
+            runner.YearTask(faulted, SANTIAGO, sample_every_days=183),
+            runner.YearTask("baseline", ICELAND, sample_every_days=183),
+        ]
+        results = runner.run_year_tasks(tasks, workers=1, lanes=8)
+        assert day_chunks == [
+            [("Newark", 0), ("Newark", 183), ("Iceland", 0), ("Iceland", 183)]
+        ]
+        assert lane_chunks == [["Santiago"]]
+        assert [r.climate_name for r in results] == [
+            "Newark", "Santiago", "Iceland",
+        ]
+        # The fold keeps day order and sums the days' energies.
+        assert results[0].sampled_days == [0, 183]
+        assert results[0].daily_worst_range_c == [0.0, 183.0]
+        assert results[0].cooling_kwh == 1.0
+
+    def test_failed_day_chunk_reruns_its_cells_whole(
+        self, lane_cache, monkeypatch
+    ):
+        """In-process, like a failed lane chunk: each cell of a failed day
+        chunk re-runs whole, at the run's lane width, exactly once."""
+        monkeypatch.setattr(
+            runner,
+            "_run_day_chunk",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        calls = []
+
+        def fake_year_result(system, climate, *a, lanes=None, **k):
+            calls.append((climate.name, lanes))
+            return fake_result(climate=climate.name)
+
+        monkeypatch.setattr(experiments, "year_result", fake_year_result)
+        tasks = [
+            runner.YearTask("baseline", c, sample_every_days=183)
+            for c in (NEWARK, SANTIAGO)
+        ]
+        results = runner.run_year_tasks(
+            tasks, workers=1, lanes=8, backoff_s=0.0
+        )
+        assert calls == [("Newark", 8), ("Santiago", 8)]
+        assert [r.climate_name for r in results] == ["Newark", "Santiago"]
+
+    def test_folded_cells_reach_the_cache_through_store_result(
+        self, lane_cache, monkeypatch
+    ):
+        """One put per unfolded cell; the memory half follows
+        ``keep_results`` like ``load_cached(cache_memory=)``."""
+        self._record(monkeypatch)
+        puts = []
+        real_store = experiments.store_result
+
+        def spy_store(key, result, use_disk_cache=True, cache_memory=True):
+            puts.append((use_disk_cache, cache_memory))
+            real_store(key, result, use_disk_cache, cache_memory)
+
+        monkeypatch.setattr(experiments, "store_result", spy_store)
+        tasks = [
+            runner.YearTask("baseline", c, sample_every_days=183)
+            for c in (NEWARK, SANTIAGO)
+        ]
+        runner.run_year_tasks(tasks, workers=1, keep_results=False)
+        assert puts == [(True, False), (True, False)]
+        assert len(list(lane_cache.glob("*.json"))) == 2
+        assert experiments._memory_cache == {}
 
 
 class TestFailureKnobResolvers:

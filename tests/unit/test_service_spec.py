@@ -58,6 +58,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown spec field"):
             CampaignSpec.from_json({"kind": "world", "surprise": 1})
 
+    def test_day_lanes_is_an_unknown_field(self):
+        """The unfold width is the run's lane width, not a spec field."""
+        with pytest.raises(SpecError, match="unknown spec field.*day_lanes"):
+            CampaignSpec.from_json(
+                {"kind": "matrix", "systems": ["All-ND"], "day_lanes": 4}
+            )
+
     def test_from_json_rejects_non_object(self):
         with pytest.raises(SpecError, match="JSON object"):
             CampaignSpec.from_json(["matrix"])
