@@ -7,6 +7,9 @@ and diffs the result rows against the same campaign run one-shot.  The
 two runs use separate cache directories, so equality is computed twice
 from scratch — never inherited through a shared cache.
 
+Ends the server with SIGTERM and checks that it took its pool workers
+down with it (none may outlive it as orphans).
+
 Also the CI exercise path for the service env knobs: the server reads
 ``REPRO_SERVICE_SOCKET`` / ``REPRO_SERVICE_MAX_INFLIGHT`` /
 ``REPRO_SERVICE_MAX_JOBS`` and the client ``REPRO_SERVICE_SOCKET`` /
@@ -17,6 +20,7 @@ Also the CI exercise path for the service env knobs: the server reads
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -36,6 +40,27 @@ def run_cli(args, env, timeout=600):
         text=True,
         timeout=timeout,
     )
+
+
+def child_pids(pid):
+    """Live (non-zombie) processes whose parent is ``pid``, from /proc."""
+    children = set()
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            children.add(int(stat.parent.name))
+    return children
+
+
+def alive(pid):
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def fail(step, proc):
@@ -109,12 +134,26 @@ def main():
                     file=sys.stderr,
                 )
                 return 1
+            workers = child_pids(server.pid)
         finally:
             server.terminate()
             try:
                 server.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 server.kill()
+        deadline = time.monotonic() + 30
+        while any(alive(pid) for pid in workers):
+            if time.monotonic() > deadline:
+                left = sorted(pid for pid in workers if alive(pid))
+                for pid in left:
+                    os.kill(pid, signal.SIGKILL)
+                print(
+                    f"FAIL: pool workers {left} outlived the terminated "
+                    "server",
+                    file=sys.stderr,
+                )
+                return 1
+            time.sleep(0.1)
 
     expected = data_rows(direct.stdout)
     got = data_rows(submit.stdout)

@@ -79,9 +79,11 @@ DEFAULT_WORLD_LOCATIONS = int(os.environ.get("REPRO_WORLD_LOCATIONS", "24"))
 DEFAULT_SIM_ENGINE = os.environ.get("REPRO_SIM_ENGINE", "lanes")
 SIM_ENGINES = ("lanes", "scalar")
 
-# How many scenarios each lane-batched chunk steps in lockstep (see
-# ``run_year_lanes``); composes with worker processes as workers x lanes.
-DEFAULT_LANES = int(os.environ.get("REPRO_LANES", "8"))
+# The most lanes (cells, or cell-days once unfolded) one lane-batched
+# chunk steps in lockstep (see ``run_year_lanes``); a cap, since the
+# runner balances its chunks across workers x lanes.  A pass costs
+# nearly the same at 32 lanes as at 8 (docs/PERFORMANCE.md).
+DEFAULT_LANES = int(os.environ.get("REPRO_LANES", "32"))
 
 
 _memory_cache: Dict[str, YearResult] = {}

@@ -361,14 +361,13 @@ def _run_lane_chunk(
 ) -> List[YearResult]:
     """Run a chunk of cells as one lockstep lane batch.
 
-    All tasks in a chunk must share the same day-sampling stride, and
-    they share one cooling model (the default, or one fault log-gap
-    schedule's): :func:`run_year_tasks` groups cells by both, so the
-    lane engine, which loads each lane's model, makes one stacked
-    rollout per control period.  Systems, climates, workloads, forecast
-    biases, plants, and fault schedules mix freely across lanes.  Each
-    lane's result is bit-identical to its scalar run and is stored under
-    its own cache key.
+    All tasks in a chunk must share the same day-sampling stride
+    (:func:`run_year_tasks` groups cells by it).  Systems, climates,
+    workloads, forecast biases, plants, fault schedules and cooling
+    models mix freely across lanes: the lane engine loads each lane's
+    model and makes one stacked rollout per distinct model and control
+    period.  Each lane's result is bit-identical to its scalar run and is
+    stored under its own cache key.
     """
     from repro.analysis import experiments
     from repro.sim.lanes import LaneScenario, run_year_lanes
@@ -534,21 +533,33 @@ def _fold_days(
     return result
 
 
-def _chunk_size(units: int, workers: int, lanes: int) -> int:
-    """Lanes per chunk: ``units`` spread across the workers before lanes
-    fill, so one over-full batch never starves process parallelism."""
-    return max(1, min(lanes, -(-units // workers)))
+def _chunk_count(units: int, workers: int, lanes: int) -> int:
+    """Chunks for ``units`` lanes of work: as few as fit ``lanes`` each,
+    rounded up to a multiple of ``workers`` so every worker gets a chunk
+    per pass, and never more chunks than units."""
+    chunks = -(-units // lanes)
+    return min(units, -(-chunks // workers) * workers)
 
 
 def _chunked(units: list, workers: int, lanes: int) -> List[list]:
-    size = _chunk_size(len(units), workers, lanes)
-    return [units[i : i + size] for i in range(0, len(units), size)]
+    """Contiguous chunks whose sizes differ by at most one.
+
+    A plain ``lanes``-sized cut leaves a short tail (8, 8, 8, 1), which
+    costs a whole pass for one lane; balanced chunks spread it instead.
+    """
+    count = _chunk_count(len(units), workers, lanes)
+    size, extra = divmod(len(units), count)
+    chunks, start = [], 0
+    for position in range(count):
+        stop = start + size + (position < extra)
+        chunks.append(units[start:stop])
+        start = stop
+    return chunks
 
 
 def _passes(units: int, workers: int, lanes: int) -> int:
     """Lockstep chunks per worker for ``units`` lanes of work."""
-    chunks = -(-units // _chunk_size(units, workers, lanes))
-    return -(-chunks // workers)
+    return -(-_chunk_count(units, workers, lanes) // workers)
 
 
 def unfold_pays(cells: int, days: int, workers: int, lanes: int) -> bool:
@@ -792,7 +803,12 @@ def run_year_tasks(
             cost_model.observe(executed, time.perf_counter() - exec_start)
 
     def run_serial_cell(index: int, attempts_used: int = 0) -> None:
-        """One cell in-process, with retries; records result or failure."""
+        """One cell in-process, with retries; records result or failure.
+
+        ``attempts_used`` runs have already failed (the cell's lane or
+        day chunk, or pool attempts before recovery) and count against
+        ``retries``.
+        """
         try:
             result = _run_task_with_retries(
                 tasks[index],
@@ -807,10 +823,28 @@ def run_year_tasks(
         except TaskExecutionError as err:
             fail(index, err, attempts=retries + 1)
 
+    def rerun_chunk_cells(cells: Sequence[int], err: BaseException) -> None:
+        """A chunk failed in-process: the pool's rule, cell by cell.
+
+        The chunk run was each cell's first attempt, so with no retries
+        left its cells fail at once; otherwise they re-run whole, one at
+        a time, so one bad lane cannot poison its chunk-mates.
+        """
+        if retries < 1:
+            for index in cells:
+                fail(index, err, attempts=1)
+            return
+        for index in cells:
+            _note_retry(retried, tasks[index], 1, err)
+        if backoff_s > 0:
+            time.sleep(backoff_s)
+        for index in cells:
+            run_serial_cell(index, attempts_used=1)
+
     # The plan, shared by both executors.  Uncached lane-engine cells
-    # group by sampling stride (a lane batch steps all lanes over the
-    # same days) and cooling model (one stacked rollout per batch: the
-    # default model, or one fault log-gap schedule's).  A group whose
+    # group by sampling stride alone (a lane batch steps all lanes over
+    # the same days); cooling models mix inside a chunk, since the lane
+    # engine makes one stacked rollout per distinct model.  A group whose
     # eligible cells unfold (``unfold_pays``) turns them into (cell
     # index, day position, day) items, in cell-then-day order; chunks of
     # them may straddle cells, since every lane carries its own day, and
@@ -823,10 +857,9 @@ def run_year_tasks(
     day_chunks: List[List[Tuple[int, int, int]]] = []
     day_state: Dict[int, dict] = {}
     if lanes > 1:
-        from repro.sim.campaign import model_log_gaps
         from repro.sim.eligibility import decide_engine
 
-        groups: Dict[tuple, List[int]] = {}
+        groups: Dict[int, List[int]] = {}
         unfoldable: set = set()
         for index in pending:
             task = tasks[index]
@@ -843,10 +876,8 @@ def run_year_tasks(
             if decision.day_unfold:
                 unfoldable.add(index)
             sample = task.sample_every_days or experiments.DEFAULT_SAMPLE_DAYS
-            groups.setdefault((sample, model_log_gaps(system)), []).append(
-                index
-            )
-        for (sample, _), indices in groups.items():
+            groups.setdefault(sample, []).append(index)
+        for sample, indices in groups.items():
             days = sampled_days(sample)
             eligible = [index for index in indices if index in unfoldable]
             if eligible and unfold_pays(
@@ -910,18 +941,12 @@ def run_year_tasks(
                     [(tasks[i], day) for i, _, day in items], use_disk_cache
                 )
             except Exception as err:  # noqa: BLE001 - isolate per cell
-                # Like a failed lane chunk: re-run its cells whole, one at
-                # a time, so the rest still finish.
+                # Like a failed lane chunk: its cells re-run whole.
                 cells = list(dict.fromkeys(i for i, _, _ in items))
-                logger.warning(
-                    "day chunk failed (%s); re-running its %d cells "
-                    "individually",
-                    err,
-                    len(cells),
-                )
+                logger.warning("day chunk failed (%s)", err)
                 for index in cells:
                     day_state[index]["failed"] = True
-                    run_serial_cell(index, attempts_used=1)
+                rerun_chunk_cells(cells, err)
                 continue
             deliver_days(items, payloads)
         for chunk in chunks:
@@ -930,16 +955,8 @@ def run_year_tasks(
                     [tasks[i] for i in chunk], use_disk_cache
                 )
             except Exception as err:  # noqa: BLE001 - isolate per cell
-                # One bad lane poisons its whole chunk; re-run the
-                # chunk's cells one at a time so the rest still finish.
-                logger.warning(
-                    "lane chunk failed (%s); re-running its %d cells "
-                    "individually",
-                    err,
-                    len(chunk),
-                )
-                for index in chunk:
-                    run_serial_cell(index, attempts_used=1)
+                logger.warning("lane chunk failed (%s)", err)
+                rerun_chunk_cells(chunk, err)
                 continue
             for index, result in zip(chunk, chunk_results):
                 record(index, result)

@@ -672,8 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--workers", type=int, default=None,
                         help="worker processes (default REPRO_WORKERS or CPUs)")
     matrix.add_argument("--lanes", type=int, default=None,
-                        help="scenarios stepped in lockstep per worker "
-                             "(default REPRO_LANES; 1 = per-cell runs)")
+                        help="most lanes (cells or cell-days) stepped in "
+                             "one lockstep chunk (default REPRO_LANES or 32; "
+                             "1 = per-cell runs)")
     matrix.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress on stderr")
     matrix.add_argument("--task-retries", type=int, default=None,
@@ -708,8 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
     world.add_argument("--workers", type=int, default=None,
                        help="worker processes (default REPRO_WORKERS or CPUs)")
     world.add_argument("--lanes", type=int, default=None,
-                       help="scenarios stepped in lockstep per worker "
-                            "(default REPRO_LANES; 1 = per-cell runs)")
+                       help="most lanes (cells or cell-days) stepped in "
+                            "one lockstep chunk (default REPRO_LANES or 32; "
+                            "1 = per-cell runs)")
     world.add_argument("--quiet", action="store_true",
                        help="suppress per-cell progress on stderr")
     world.add_argument("--task-retries", type=int, default=None,

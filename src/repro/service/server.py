@@ -31,6 +31,7 @@ import asyncio
 import logging
 import os
 import pathlib
+import signal
 import threading
 from typing import Optional
 
@@ -172,10 +173,16 @@ class CampaignService:
         return self.address
 
     async def serve_forever(self) -> None:
-        """Run until a ``shutdown`` request (or :meth:`close`) arrives."""
+        """Run until a ``shutdown`` request (or :meth:`close`) arrives.
+
+        The pool is shut down however serving ends: a stop, SIGINT, or
+        cancellation of this coroutine.
+        """
         assert self._stop is not None, "serve_forever before start"
-        await self._stop.wait()
-        await self.close()
+        try:
+            await self._stop.wait()
+        finally:
+            await self.close()
 
     async def close(self) -> None:
         if self._stop is not None:
@@ -303,6 +310,11 @@ class CampaignService:
 
 async def _run_service(service: CampaignService, **bind_kwargs) -> None:
     address = await service.start(**bind_kwargs)
+    # SIGTERM stops the service like a ``shutdown`` request, so the pool's
+    # workers exit with it instead of outliving it as orphans.
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, service._stop.set
+    )
     print(f"campaign service listening on {address}", flush=True)
     await service.serve_forever()
 

@@ -78,7 +78,7 @@ from repro.cooling.tks import (
 )
 from repro.cooling.units import SmoothCoolingUnits
 from repro.core.coolair import CoolAir
-from repro.core.config import CoolAirConfig
+from repro.core.config import CoolAirConfig, TemporalPolicy
 from repro.core.modeler import CoolingModel
 from repro.core.predictor import CoolingPredictor, PredictorState
 from repro.datacenter.layout import DatacenterLayout, parasol_layout
@@ -141,9 +141,9 @@ def _quantize_rh(true_pct: np.ndarray) -> np.ndarray:
 def _copy_trace(trace: Trace) -> Trace:
     """A private per-lane copy of a trace, cheaper than ``copy.deepcopy``.
 
-    Job fields are immutable scalars, so shallow job copies give each lane
-    an independent trace (the temporal scheduler mutates
-    ``scheduled_start_s`` per lane).
+    Job fields are immutable scalars, so shallow job copies give a
+    rescheduling lane an independent trace (the temporal scheduler
+    mutates ``scheduled_start_s`` per lane).
     """
     clone = copy.copy(trace)
     clone.jobs = [copy.copy(job) for job in trace.jobs]
@@ -205,6 +205,7 @@ class _Lane:
         "coolair",
         "climate_name",
         "injector",
+        "reschedules",
     )
 
     def __init__(
@@ -216,6 +217,7 @@ class _Lane:
         coolair: Optional[CoolAir],
         climate_name: str,
         injector: Optional[FaultInjector] = None,
+        reschedules: bool = False,
     ) -> None:
         self.label = label
         self.layout = layout
@@ -226,6 +228,9 @@ class _Lane:
         # Faulted lanes only: the scalar engine's injector, attached to
         # this lane's own layout and units.
         self.injector = injector
+        # Whether this lane's temporal scheduler moves jobs; only such a
+        # lane owns a private copy of its trace.
+        self.reschedules = reschedules
 
 
 class LaneRunner:
@@ -235,8 +240,14 @@ class LaneRunner:
     ``run_year``'s ``model=``); None gives each lane the model its fault
     schedule asks for (:func:`~repro.sim.campaign.model_log_gaps`).
     Lanes of one model share a predictor, so their rollouts stack into
-    one pass per control period; the campaign runner batches cells of
-    one model together, so a chunk makes exactly one.
+    one pass per control period and distinct model: a runner chunk that
+    mixes the default model with a fault log-gap schedule's makes one
+    stacked rollout for each.
+
+    Lanes share what they only read: one weather table row per distinct
+    climate, and the source trace of every lane whose temporal scheduler
+    never moves a job (baseline lanes and ``TemporalPolicy.NONE``).
+    Only rescheduling lanes copy their trace.
     """
 
     def __init__(
@@ -277,12 +288,19 @@ class LaneRunner:
 
             layout = parasol_layout()
             covering_subset(layout.all_servers())
-            trace = _copy_trace(scenario.trace)
+            # Only the temporal scheduler writes to a trace (its jobs'
+            # ``scheduled_start_s``); every other lane reads the source.
+            reschedules = (
+                not is_baseline and system.temporal is not TemporalPolicy.NONE
+            )
+            trace = (
+                _copy_trace(scenario.trace) if reschedules else scenario.trace
+            )
             # Lanes sharing a source trace get equal initial profiles (the
-            # fluid model is deterministic in the job values, which the
-            # copy preserves) — build once per distinct trace.  Each lane
-            # keeps its own workload/trace; a per-lane ``rebuild()`` after
-            # temporal scheduling replaces only that lane's profile.
+            # fluid model is deterministic in the job values, which a copy
+            # preserves) — build once per distinct trace.  Each lane keeps
+            # its own workload; a per-lane ``rebuild()`` after temporal
+            # scheduling replaces only that lane's profile.
             profile_key = (id(scenario.trace), layout.num_servers)
             profile = shared_profiles.get(profile_key)
             workload = ProfileWorkload(
@@ -341,7 +359,7 @@ class LaneRunner:
                     injector.attach(layout, units)
             self.lanes.append(
                 _Lane(label, layout, units, workload, coolair,
-                      scenario.climate.name, injector)
+                      scenario.climate.name, injector, reschedules)
             )
 
         num = self.num_lanes
@@ -772,11 +790,15 @@ class LaneRunner:
                 self._active_count[lane_index] = count
                 self._util_cache[lane_index] = count / lane.layout.num_servers
             else:
-                lane.workload.begin_day()
+                # Only a rescheduling lane can have moved jobs: for
+                # TemporalPolicy.NONE the scheduler returns at once, so
+                # a shared source trace needs no reset and no rebuild.
+                if lane.reschedules:
+                    lane.workload.begin_day()
                 lane.coolair.start_day(
                     lane_days[lane_index], lane.workload.jobs
                 )
-                if any(
+                if lane.reschedules and any(
                     job.scheduled_start_s is not None
                     for job in lane.workload.jobs
                 ):

@@ -182,7 +182,7 @@ class SampledWeather:
 
 
 class LaneWeather:
-    """Per-climate TMY tables stacked into ``(lanes, hours)`` arrays.
+    """Per-climate TMY tables gathered into ``(lanes, steps)`` day grids.
 
     The lane-batched simulation engine advances every lane on the same
     absolute-time step grid, so one fancy-indexed gather per day yields the
@@ -190,7 +190,9 @@ class LaneWeather:
     the :class:`SampledWeather` grid arithmetic (itself the mirror of
     :meth:`TMYSeries._interp`), element for element, so each lane's series
     is bit-identical to what a scalar :class:`DayRunner` reads for that
-    climate.  Lanes may repeat a climate (several systems share weather).
+    climate.  Lanes may repeat a climate (several systems, plants or
+    sampled days share weather): the tables hold one row per distinct
+    series, and a lane-to-row index spreads them over the lanes.
     """
 
     def __init__(self, series_list: Sequence[TMYSeries], step_s: float) -> None:
@@ -207,9 +209,14 @@ class LaneWeather:
         self.step_s = step_s
         self.num_steps = steps
         self.num_lanes = len(series_list)
-        self._temps = np.stack([s._temps_c for s in series_list])
-        self._mixing = np.stack([s._mixing_ratios for s in series_list])
-        self._rh = np.stack([s._rh_pct for s in series_list])
+        distinct = list({id(s): s for s in series_list}.values())
+        row_of = {id(s): row for row, s in enumerate(distinct)}
+        self._lane_rows = np.asarray(
+            [row_of[id(s)] for s in series_list], dtype=np.intp
+        )
+        self._temps = np.stack([s._temps_c for s in distinct])
+        self._mixing = np.stack([s._mixing_ratios for s in distinct])
+        self._rh = np.stack([s._rh_pct for s in distinct])
 
     def day_grid(
         self, day_of_year, first_step: int, num_steps: int
@@ -222,10 +229,12 @@ class LaneWeather:
 
         ``day_of_year`` is a single day shared by all lanes, or a per-lane
         sequence of ``num_lanes`` days (the day-unfolded mode, where each
-        lane simulates a different day of the same year).  The per-lane
-        path runs the identical elementwise grid arithmetic on a 2-D index
-        grid, so each lane's row is bit-identical to the shared-day call
-        for that lane's day.
+        lane simulates a different day of the same year).  The shared-day
+        path evaluates each distinct series once on a 1-D index and then
+        spreads the rows over the lanes; the per-lane path runs the same
+        elementwise arithmetic on a 2-D index grid through the lane-to-row
+        index.  Either way each lane's row is bit-identical to the
+        shared-day call for that lane's day.
         """
         year_s = DAYS_PER_YEAR * SECONDS_PER_DAY
         steps_per_day = int(round(SECONDS_PER_DAY / self.step_s))
@@ -243,7 +252,7 @@ class LaneWeather:
             idx = (
                 days[:, None] * steps_per_day + offsets[None, :]
             ) % self.num_steps
-            rows = np.arange(self.num_lanes)[:, None]
+            rows = self._lane_rows[:, None]
         # Mirror SampledWeather's grid construction on just these indices:
         # times, hour-of-year, truncated index, fraction.
         times = idx.astype(float) * self.step_s
@@ -256,6 +265,11 @@ class LaneWeather:
         temps = self._temps[rows, i0] * weight0 + self._temps[rows, i1] * frac
         mixing = self._mixing[rows, i0] * weight0 + self._mixing[rows, i1] * frac
         rh = self._rh[rows, i0] * weight0 + self._rh[rows, i1] * frac
+        if idx.ndim == 1:
+            # One row per distinct series so far; one per lane now.
+            temps = temps[self._lane_rows]
+            mixing = mixing[self._lane_rows]
+            rh = rh[self._lane_rows]
         return temps, mixing, rh
 
 

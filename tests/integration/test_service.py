@@ -10,6 +10,12 @@ protocol — there is no in-process shortcut.
 
 import dataclasses
 import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -168,3 +174,84 @@ def test_tcp_endpoint_and_admission_control(fresh_caches, tmp_path, monkeypatch)
 
     assert job["state"] == "completed"
     assert rerun_job["state"] == "completed" and rerun_job["cached"] == 1
+
+
+def _child_pids(pid):
+    """Live (non-zombie) processes whose parent is ``pid``, from /proc."""
+    children = set()
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            children.add(int(stat.parent.name))
+    return children
+
+
+def _alive(pid):
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc"
+)
+def test_sigterm_stops_the_server_and_its_pool(tmp_path):
+    """``python -m repro serve`` shuts its worker pool down on SIGTERM:
+    after ``terminate()`` neither the server nor any worker it had is
+    left running."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    socket_path = tmp_path / "service.sock"
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(root / "src"),
+        "REPRO_CACHE_DIR": str(tmp_path / "cache"),
+    }
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--workers", "2",
+         "--socket", str(socket_path)],
+        env=env,
+        cwd=root,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers = set()
+    try:
+        ServiceClient(socket_path=str(socket_path)).wait_until_ready(
+            timeout_s=60
+        )
+        with ServiceClient(socket_path=str(socket_path)) as client:
+            spec = CampaignSpec(
+                kind="cells",
+                cells=(
+                    CellSpec(
+                        system="baseline",
+                        location="Newark",
+                        sample_every_days=FAST_STRIDE,
+                    ),
+                ),
+            )
+            job = client.wait_for_job(
+                client.submit(spec)["job_id"], poll_s=0.1, timeout_s=120
+            )
+        assert job["state"] == "completed"
+        workers = _child_pids(server.pid)
+        assert workers, "the cell ran without a pool worker"
+        server.terminate()
+        server.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(_alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, "pool workers outlived serve"
+            time.sleep(0.1)
+    finally:
+        # Leave nothing behind, even when the assertions failed.
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -262,11 +262,12 @@ class TestLaneChunking:
         )
         assert strides == [(7, 7), (30,)]
 
-    def test_chunks_grouped_by_cooling_model(self, lane_cache, monkeypatch):
-        """One model per chunk: the default, or one log-gap schedule's.
+    def test_chunks_mix_cooling_models(self, lane_cache, monkeypatch):
+        """Cooling models mix inside a chunk: cells group by stride alone.
 
-        Faulted cells with no log gaps batch with fault-free cells; each
-        distinct log-gap schedule gets chunks of its own."""
+        The lane engine makes one stacked rollout per distinct model, so
+        model-gap cells (a degraded model) share a chunk with fault-free
+        and baseline cells, in task order."""
         import dataclasses
 
         from repro.core.versions import ALL_VERSIONS
@@ -287,13 +288,7 @@ class TestLaneChunking:
             runner.YearTask(faulted("model-gap"), ICELAND),
         ]
         runner.run_year_tasks(tasks, workers=1, lanes=8)
-        grouped = sorted(
-            sorted(task.climate.name for task in chunk) for chunk in chunks
-        )
-        assert grouped == [
-            ["Iceland", "Newark"],  # the two model-gap cells
-            ["Iceland", "Newark", "Santiago"],  # default-model cells
-        ]
+        assert chunks == [tasks]
 
     def test_lanes_1_restores_per_cell_runs(self, lane_cache, monkeypatch):
         for name in ("_run_lane_chunk", "_run_day_chunk"):
@@ -372,6 +367,46 @@ def fake_day_payload(day):
     }
 
 
+# (cells, days, workers) of the campaign shapes the rule is stated on.
+UNFOLD_SHAPES = [
+    (5, 2, 2),  # a small_campaigns query
+    (1, 27, 2),  # a lone cell
+    (5, 2, 1),  # one worker
+    (25, 4, 2),  # paper_matrix
+    (48, 4, 2),  # plant_world
+    (10, 4, 2),  # CI's day-unfold smoke
+]
+
+
+class TestBalancedChunks:
+    """``_chunked`` cuts contiguous, balanced chunks; ``_passes`` counts
+    exactly the chunks it cuts."""
+
+    @pytest.mark.parametrize("lanes", [1, 8, 32])
+    @pytest.mark.parametrize("cells, days, workers", UNFOLD_SHAPES)
+    def test_chunk_plan(self, cells, days, workers, lanes):
+        for units in (cells, cells * days):
+            chunks = runner._chunked(list(range(units)), workers, lanes)
+            sizes = [len(chunk) for chunk in chunks]
+            # Contiguous slices, in order, covering every unit once.
+            assert [u for chunk in chunks for u in chunk] == list(
+                range(units)
+            )
+            assert max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= lanes
+            # Whole passes for every worker, unless units run out first.
+            assert len(chunks) % workers == 0 or len(chunks) == units
+            assert runner._passes(units, workers, lanes) == -(
+                -len(chunks) // workers
+            )
+
+    def test_no_short_tail(self):
+        """25 cells on 2 workers x 8 lanes: four chunks of 6-7, not
+        8, 8, 8, 1."""
+        chunks = runner._chunked(list(range(25)), 2, 8)
+        assert [len(chunk) for chunk in chunks] == [7, 6, 6, 6]
+
+
 class TestDayUnfoldRule:
     """When ``run_year_tasks`` unfolds a lane group's cells into days."""
 
@@ -384,6 +419,12 @@ class TestDayUnfoldRule:
             (25, 4, 2, 8, 8, 7, False),  # paper_matrix fills the lanes
             (48, 4, 2, 8, 12, 12, False),  # plant_world fills the lanes
             (1, 27, 2, 1, 27, 14, False),  # lanes=1 never unfolds
+            # The default width, 32 lanes:
+            (5, 2, 2, 32, 2, 1, True),  # small_campaigns: plan unchanged
+            (1, 27, 2, 32, 27, 1, True),  # a lone cell: one pass
+            (25, 4, 2, 32, 4, 2, True),  # paper_matrix unfolds
+            (48, 4, 2, 32, 4, 3, True),  # plant_world unfolds
+            (10, 4, 2, 32, 4, 1, True),  # CI's day-unfold smoke
         ],
     )
     def test_decision_table(
@@ -586,6 +627,70 @@ class TestSerialFailureHandling:
         assert "bad cell" in failure.error
         # Progress still reaches total: failed cells tick too.
         assert seen[-1] == (3, 3)
+
+
+CHUNK_RUNNERS = ["_run_lane_chunk", "_run_day_chunk"]
+
+
+class TestInProcessChunkRetries:
+    """In-process, a failed lane or day chunk obeys ``task_retries`` as
+    the pool does: the chunk run is each cell's first attempt."""
+
+    def _run(self, monkeypatch, chunk_runner, retries, rerun_fails):
+        if chunk_runner == "_run_lane_chunk":
+            monkeypatch.setattr(runner, "unfold_pays", lambda *a, **k: False)
+        monkeypatch.setattr(
+            runner,
+            chunk_runner,
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        reruns = []
+
+        def counting_year_result(system, climate, *a, **k):
+            reruns.append(climate.name)
+            if rerun_fails:
+                raise RuntimeError("still broken")
+            return fake_result(climate=climate.name)
+
+        monkeypatch.setattr(experiments, "year_result", counting_year_result)
+        failures = []
+        tasks = [
+            runner.YearTask("baseline", c, sample_every_days=183)
+            for c in (NEWARK, SANTIAGO)
+        ]
+        results = runner.run_year_tasks(
+            tasks, workers=1, lanes=8, task_retries=retries,
+            backoff_s=0.0, failures=failures,
+        )
+        return reruns, failures, results
+
+    @pytest.mark.parametrize("chunk_runner", CHUNK_RUNNERS)
+    def test_no_retries_fails_the_cells_at_once(
+        self, lane_cache, monkeypatch, chunk_runner
+    ):
+        reruns, failures, results = self._run(
+            monkeypatch, chunk_runner, retries=0, rerun_fails=False
+        )
+        assert reruns == []
+        assert [f.attempts for f in failures] == [1, 1]
+        assert all("boom" in f.error for f in failures)
+        assert results == [None, None]
+
+    @pytest.mark.parametrize("rerun_fails", [False, True])
+    @pytest.mark.parametrize("chunk_runner", CHUNK_RUNNERS)
+    def test_one_retry_reruns_each_cell_once(
+        self, lane_cache, monkeypatch, chunk_runner, rerun_fails
+    ):
+        reruns, failures, results = self._run(
+            monkeypatch, chunk_runner, retries=1, rerun_fails=rerun_fails
+        )
+        assert reruns == ["Newark", "Santiago"]
+        if rerun_fails:
+            # The chunk run and the re-run: two attempts each.
+            assert [f.attempts for f in failures] == [2, 2]
+        else:
+            assert failures == []
+            assert [r.climate_name for r in results] == ["Newark", "Santiago"]
 
 
 @fork_only

@@ -40,6 +40,15 @@ def sampled(series):
     return series.sampled(STEP_S)
 
 
+@pytest.fixture(scope="module")
+def climates(series):
+    return [
+        series,
+        generate_tmy(NAMED_LOCATIONS["Chad"]),
+        generate_tmy(NAMED_LOCATIONS["Iceland"]),
+    ]
+
+
 class TestSampledWeather:
     @given(time_s=times)
     @settings(max_examples=200, deadline=None)
@@ -71,6 +80,50 @@ class TestLaneWeather:
             assert temps[0, j] == series.temperature_c(time_s)
             assert mixing[1, j] == series.mixing_ratio(time_s)
             assert rh[0, j] == series.relative_humidity_pct(time_s)
+
+    @given(
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        first_step=st.integers(min_value=-60, max_value=720),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_climates_match_scalar_queries(
+        self, climates, picks, first_step, data
+    ):
+        """Lanes that repeat a climate read one table row through the
+        lane-to-row index; every lane, on a shared day or on its own,
+        still equals ``TMYSeries._interp`` for its climate and day."""
+        lane_series = [climates[pick] for pick in picks]
+        lanes = LaneWeather(lane_series, STEP_S)
+        shared_day = data.draw(st.integers(0, 364), label="shared day")
+        lane_days = data.draw(
+            st.lists(
+                st.integers(0, 364), min_size=len(picks), max_size=len(picks)
+            ),
+            label="per-lane days",
+        )
+        for day_arg, days in (
+            (shared_day, [shared_day] * len(picks)),
+            (lane_days, lane_days),
+        ):
+            temps, mixing, rh = lanes.day_grid(day_arg, first_step, 6)
+            assert temps.shape == mixing.shape == rh.shape == (len(picks), 6)
+            for lane, (tmy, day) in enumerate(zip(lane_series, days)):
+                for j in range(6):
+                    time_s = (
+                        day * 86400.0 + (first_step + j) * STEP_S
+                    ) % YEAR_S
+                    assert temps[lane, j] == tmy._interp(tmy._temps_c, time_s)
+                    assert mixing[lane, j] == tmy._interp(
+                        tmy._mixing_ratios, time_s
+                    )
+                    assert rh[lane, j] == tmy._interp(tmy._rh_pct, time_s)
+
+    def test_tables_hold_one_row_per_distinct_series(self, climates):
+        newark, chad, _ = climates
+        lanes = LaneWeather([chad, newark, chad, chad, newark], STEP_S)
+        assert lanes._temps.shape == (2, 8760)
+        assert lanes._lane_rows.tolist() == [0, 1, 0, 0, 1]
 
 
 class TestStoreServedSeries:
