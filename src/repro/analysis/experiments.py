@@ -46,6 +46,7 @@ from repro import artifacts
 from repro.core.config import CoolAirConfig
 from repro.core.versions import ALL_VERSIONS
 from repro.sim.campaign import model_log_gaps, trained_cooling_model
+from repro.sim.eligibility import decide_engine
 from repro.sim.yearsim import YearResult, run_year
 from repro.weather.climate import Climate
 from repro.weather.locations import NAMED_LOCATIONS, world_grid
@@ -77,7 +78,6 @@ DEFAULT_WORLD_LOCATIONS = int(os.environ.get("REPRO_WORLD_LOCATIONS", "24"))
 # engine so results can never be served across numeric paths whose
 # equivalence has not been proven for that configuration.
 DEFAULT_SIM_ENGINE = os.environ.get("REPRO_SIM_ENGINE", "lanes")
-SIM_ENGINES = ("lanes", "scalar")
 
 # The most lanes (cells, or cell-days once unfolded) one lane-batched
 # chunk steps in lockstep (see ``run_year_lanes``); a cap, since the
@@ -184,27 +184,6 @@ def config_fingerprint(system: Union[str, CoolAirConfig]) -> str:
     return f"{system.name}-{digest}"
 
 
-def effective_engine(
-    system: Union[str, CoolAirConfig],
-    engine: Optional[str] = None,
-    plant: str = "parasol",
-) -> str:
-    """The simulation engine a run of ``system`` would actually use.
-
-    Thin wrapper over :func:`repro.sim.eligibility.decide_engine` (the
-    single statement of the rules) that resolves the requested engine
-    from ``REPRO_SIM_ENGINE``.  A config with exotic timing falls back to
-    the scalar reference path (and is fingerprinted as such, so the cache
-    stays honest about which numeric path produced each entry); every
-    cooling plant and every fault schedule rides the lane engine.
-    """
-    from repro.sim.eligibility import decide_engine
-
-    return decide_engine(
-        system, engine or DEFAULT_SIM_ENGINE, plant=plant
-    ).engine
-
-
 def _resolve_system(
     system: Union[str, CoolAirConfig]
 ) -> Tuple[Union[str, CoolAirConfig], str]:
@@ -213,42 +192,6 @@ def _resolve_system(
         system = ALL_VERSIONS[system]()
     label = system if isinstance(system, str) else system.name
     return system, label
-
-
-def day_unfold_eligible(
-    system: Union[str, CoolAirConfig],
-    deferrable: bool = False,
-    engine: Optional[str] = None,
-    plant: str = "parasol",
-) -> bool:
-    """Whether a cell's sampled days may be unfolded into lanes.
-
-    Day-unfolding simulates a year's sampled days side by side, which is
-    only valid when every day is provably independent of the days before
-    it.  Four things break that today and route to the day-sequential
-    path instead:
-
-    * the scalar engine (exotic timing already falls back there via
-      :func:`effective_engine`);
-    * a fault schedule (fault state — held readings, spike RNG streams,
-      drift origins, stuck latches — carries across days);
-    * deferrable workloads (their traces exist to be temporally
-      rescheduled); and
-    * any temporal-scheduling policy other than ``NONE`` (the scheduler
-      mutates job start times across days — All-DEF and Energy-DEF).
-
-    Thin wrapper over :func:`repro.sim.eligibility.decide_engine`, which
-    states those rules once for every caller.
-    """
-    from repro.sim.eligibility import decide_engine
-
-    system, _ = _resolve_system(system)
-    return decide_engine(
-        system,
-        engine or DEFAULT_SIM_ENGINE,
-        plant=plant,
-        deferrable=deferrable,
-    ).day_unfold
 
 
 def cache_key(
@@ -273,7 +216,7 @@ def cache_key(
     """
     system, _ = _resolve_system(system)
     sample = sample_every_days or DEFAULT_SAMPLE_DAYS
-    engine = effective_engine(system, engine, plant)
+    engine = decide_engine(system, engine or DEFAULT_SIM_ENGINE).engine
     plant_token = "" if plant == "parasol" else f"-p{plant}"
     return (
         f"{config_fingerprint(system)}-{climate.name}-{workload}"
@@ -364,6 +307,7 @@ def year_result(
     engine: Optional[str] = None,
     lanes: Optional[int] = None,
     plant: Optional[str] = None,
+    cache_memory: bool = True,
 ) -> YearResult:
     """One cached year run.
 
@@ -377,21 +321,18 @@ def year_result(
     bit-identical to the scalar reference, so the cache key records
     neither.  ``plant`` selects the cooling backend (default
     ``REPRO_PLANT`` or ``parasol``); every backend rides the lane engine
-    through its lane-vectorized units.
+    through its lane-vectorized units.  ``cache_memory=False`` leaves the
+    in-process memory cache unseeded (see :func:`store_result`).
     """
     from repro.analysis.runner import resolve_lanes
     from repro.cooling.backends import resolve_plant
-    from repro.sim.eligibility import decide_engine
 
     plant = resolve_plant(plant)
     lanes = resolve_lanes(lanes)
     sample = sample_every_days or DEFAULT_SAMPLE_DAYS
     system, _ = _resolve_system(system)
     decision = decide_engine(
-        system,
-        engine or DEFAULT_SIM_ENGINE,
-        plant=plant,
-        deferrable=deferrable,
+        system, engine or DEFAULT_SIM_ENGINE, deferrable=deferrable
     )
     engine = decision.engine
     key = cache_key(
@@ -404,7 +345,7 @@ def year_result(
         engine,
         plant,
     )
-    cached = load_cached(key, use_disk_cache)
+    cached = load_cached(key, use_disk_cache, cache_memory)
     if cached is not None:
         return cached
 
@@ -448,7 +389,7 @@ def year_result(
             forecast_bias_c=forecast_bias_c,
             plant=plant,
         )
-    store_result(key, result, use_disk_cache)
+    store_result(key, result, use_disk_cache, cache_memory)
     return result
 
 
@@ -522,14 +463,6 @@ def five_location_matrix(
     return matrix
 
 
-def resolve_stream(stream: Optional[bool] = None) -> bool:
-    """Whether the world sweep streams (``REPRO_STREAM_WORLD``, on by
-    default); an explicit argument always wins."""
-    if stream is not None:
-        return stream
-    return os.environ.get("REPRO_STREAM_WORLD", "1") != "0"
-
-
 def world_sweep(
     num_locations: Optional[int] = None,
     coolair_system: str = "All-ND",
@@ -540,7 +473,6 @@ def world_sweep(
     task_retries: Optional[int] = None,
     task_timeout_s: Optional[float] = None,
     failures: Optional[list] = None,
-    stream: Optional[bool] = None,
     screen: Optional[str] = None,
     screen_policy=None,
     screen_stats: Optional[dict] = None,
@@ -555,11 +487,11 @@ def world_sweep(
     cells are collected instead of raising; a climate missing either of
     its (baseline, coolair) results is dropped from the summary.
 
-    ``stream`` (default ``REPRO_STREAM_WORLD``, on) folds each completed
-    cell into compact summary columns as it lands instead of holding the
-    full result list in the parent — bit-identical output, parent memory
-    bounded by the grid size (see
-    :class:`~repro.analysis.worldmap.StreamingWorldAccumulator`).
+    Each completed cell folds into compact summary columns as it lands
+    instead of the parent holding the full result list, so parent memory
+    is bounded by the grid size (see
+    :class:`~repro.analysis.worldmap.StreamingWorldAccumulator`; its
+    summary equals :func:`~repro.analysis.worldmap.summarize_world`'s).
 
     ``screen`` (default ``REPRO_SCREEN``, off) selects the screening
     pipeline for planetary-scale grids: ``"on"`` fully simulates only
@@ -572,7 +504,7 @@ def world_sweep(
     """
     from repro.analysis.runner import YearTask, run_year_tasks
     from repro.analysis.screening import resolve_screen
-    from repro.analysis.worldmap import summarize_world
+    from repro.analysis.worldmap import StreamingWorldAccumulator
     from repro.cooling.backends import resolve_plant
 
     plant = resolve_plant(plant)
@@ -602,23 +534,8 @@ def world_sweep(
                 sample_every_days=sample_every_days,
                 plant=plant,
             ))
-    if resolve_stream(stream):
-        from repro.analysis.worldmap import StreamingWorldAccumulator
-
-        accumulator = StreamingWorldAccumulator(climates, coolair_system)
-        run_year_tasks(
-            tasks,
-            workers=workers,
-            lanes=lanes,
-            progress=progress,
-            task_retries=task_retries,
-            task_timeout_s=task_timeout_s,
-            failures=failures,
-            consume=accumulator.consume,
-            keep_results=False,
-        )
-        return accumulator.summary()
-    results = run_year_tasks(
+    accumulator = StreamingWorldAccumulator(climates, coolair_system)
+    run_year_tasks(
         tasks,
         workers=workers,
         lanes=lanes,
@@ -626,28 +543,10 @@ def world_sweep(
         task_retries=task_retries,
         task_timeout_s=task_timeout_s,
         failures=failures,
+        consume=accumulator.consume,
+        keep_results=False,
     )
-    # Pair each climate's (baseline, coolair) results by task identity —
-    # positional 2*i indexing silently mispairs if the task layout above
-    # ever changes (and did not survive reordering or filtering).
-    by_task: Dict[Tuple[str, str], YearResult] = {}
-    for task, result in zip(tasks, results):
-        if result is None:
-            continue
-        name = (
-            task.system if isinstance(task.system, str) else task.system.name
-        )
-        by_task[(task.climate.name, name)] = result
-    pairs = []
-    coordinates = []
-    for c in climates:
-        baseline = by_task.get((c.name, "baseline"))
-        coolair = by_task.get((c.name, coolair_system))
-        if baseline is None or coolair is None:
-            continue
-        pairs.append((baseline, coolair))
-        coordinates.append((c.latitude, c.longitude))
-    return summarize_world(pairs, coordinates)
+    return accumulator.summary()
 
 
 def _screened_world_sweep(

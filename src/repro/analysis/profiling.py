@@ -705,14 +705,13 @@ def bench_world_sweep_stream() -> Dict[str, float]:
     (24 grid climates x {baseline, All-ND}, one sampled day each) over
     ``spawn`` pool workers with a cold result cache:
 
-    * **legacy** — the pre-data-plane path: artifact store disabled,
-      in-memory aggregation.  The parent trains the cooling model and
-      every spawned worker retrains it and regenerates traces/weather
-      from scratch.
+    * **legacy** — the pre-data-plane path: artifact store disabled.
+      The parent trains the cooling model and every spawned worker
+      retrains it and regenerates traces/weather from scratch.
     * **plane** (the recorded ``median_s``) — artifact store prewarmed
-      (the one-time build is timed separately as ``store_build_s``),
-      streaming aggregation.  Workers load the pickled model and mmap
-      the weather grids instead of recomputing them.
+      (the one-time build is timed separately as ``store_build_s``).
+      Workers load the pickled model and mmap the weather grids instead
+      of recomputing them.
 
     Both legs use ``spawn`` so per-worker setup cost is actually paid and
     measured rather than hidden by fork's copy-on-write inheritance —
@@ -735,13 +734,11 @@ def bench_world_sweep_stream() -> Dict[str, float]:
         legacy_env = dict(
             common,
             REPRO_ARTIFACTS="0",
-            REPRO_STREAM_WORLD="0",
             REPRO_CACHE_DIR=str(tmp_path / "cache-legacy"),
         )
         plane_env = dict(
             common,
             REPRO_ARTIFACTS_DIR=store_dir,
-            REPRO_STREAM_WORLD="1",
             REPRO_CACHE_DIR=str(tmp_path / "cache-plane"),
         )
         legacy_setup = _run_bench_subprocess(_SWEEP_SETUP_CODE, legacy_env)
@@ -751,8 +748,8 @@ def bench_world_sweep_stream() -> Dict[str, float]:
         plane = _run_bench_subprocess(_SWEEP_LEG_CODE, plane_env)
     if legacy["comparisons"] != plane["comparisons"]:
         raise RuntimeError(
-            "world_sweep_stream legs disagree: streaming data-plane sweep "
-            "is not bit-identical to the legacy in-memory sweep"
+            "world_sweep_stream legs disagree: the data-plane sweep is "
+            "not bit-identical to the artifact-store-off sweep"
         )
     if not plane["comparisons"]:
         raise RuntimeError("world_sweep_stream produced an empty summary")

@@ -53,7 +53,8 @@ exactly these guarantees — keep them):
   processes, may run them concurrently against the same cache directory.
   (Day chunks are the one exception to worker-side persistence: they
   return per-day fragments, and the parent folding them into a whole
-  cell is the writer.)
+  cell is the writer.)  Each pool's initializer,
+  :func:`_spread_worker`, only places its worker on a CPU.
 * **Pool lifetime is the caller's.**  :class:`WorkerPool` owns a
   persistent ``ProcessPoolExecutor`` that survives across
   :func:`run_year_tasks` calls (pass it as ``pool=``); without one the
@@ -233,6 +234,42 @@ def resolve_task_timeout(requested: Optional[float] = None) -> Optional[float]:
     return requested
 
 
+def _spread_worker(started) -> None:
+    """Pool initializer: start each worker on a CPU of its own.
+
+    A forked worker starts on its parent's CPU, and the scheduler may
+    leave fresh workers sharing it for a long while: on a 2-vCPU Linux VM
+    two workers forked together ran on one CPU for up to ~1 s, each
+    getting half of it, which is the whole of a short pooled campaign.
+    Each worker takes the next slot of ``started`` (a shared counter),
+    moves to that allowed CPU, and gets its full affinity back at once,
+    so the scheduler stays free to balance from there.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with started.get_lock():
+        slot = started.value
+        started.value += 1
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    try:
+        os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
+    except OSError:
+        return
+    os.sched_setaffinity(0, allowed)
+
+
+def _new_executor(workers: int, ctx_name: Optional[str]) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` spread over the usable CPUs."""
+    context = multiprocessing.get_context(ctx_name)
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=context,
+        initializer=_spread_worker,
+        initargs=(context.Value("i", 0),),
+    )
+
+
 class WorkerPool:
     """A process pool whose lifetime outlives a single campaign call.
 
@@ -272,14 +309,7 @@ class WorkerPool:
         """The live executor, created on demand."""
         with self._lock:
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=(
-                        multiprocessing.get_context(self._ctx_name)
-                        if self._ctx_name
-                        else None
-                    ),
-                )
+                self._executor = _new_executor(self.workers, self._ctx_name)
             return self._executor
 
     def submit(self, fn, /, *args, **kwargs):
@@ -320,7 +350,10 @@ def _wrap_error(label: str, err: BaseException) -> TaskExecutionError:
 
 
 def _run_task(
-    task: YearTask, use_disk_cache: bool = True, lanes: Optional[int] = None
+    task: YearTask,
+    use_disk_cache: bool = True,
+    lanes: Optional[int] = None,
+    cache_memory: bool = True,
 ) -> YearResult:
     from repro.analysis import experiments
 
@@ -334,6 +367,7 @@ def _run_task(
         use_disk_cache=use_disk_cache,
         lanes=lanes,
         plant=task.plant,
+        cache_memory=cache_memory,
     )
 
 
@@ -357,7 +391,7 @@ def _execute_task_payload(
 
 
 def _run_lane_chunk(
-    chunk: Sequence[YearTask], use_disk_cache: bool
+    chunk: Sequence[YearTask], use_disk_cache: bool, cache_memory: bool = True
 ) -> List[YearResult]:
     """Run a chunk of cells as one lockstep lane batch.
 
@@ -367,7 +401,8 @@ def _run_lane_chunk(
     models mix freely across lanes: the lane engine loads each lane's
     model and makes one stacked rollout per distinct model and control
     period.  Each lane's result is bit-identical to its scalar run and is
-    stored under its own cache key.
+    stored under its own cache key (in memory too unless
+    ``cache_memory=False``).
     """
     from repro.analysis import experiments
     from repro.sim.lanes import LaneScenario, run_year_lanes
@@ -402,7 +437,7 @@ def _run_lane_chunk(
             "lanes",
             plant=task.plant,
         )
-        experiments.store_result(key, result, use_disk_cache)
+        experiments.store_result(key, result, use_disk_cache, cache_memory)
     return results
 
 
@@ -628,12 +663,13 @@ def _run_task_with_retries(
     retried: Optional[List[str]],
     attempts_used: int = 0,
     lanes: Optional[int] = None,
+    cache_memory: bool = True,
 ) -> YearResult:
     """In-process execution with retry/backoff; raises TaskExecutionError."""
     attempt = attempts_used
     while True:
         try:
-            return _run_task(task, use_disk_cache, lanes)
+            return _run_task(task, use_disk_cache, lanes, cache_memory)
         except Exception as err:  # noqa: BLE001 - converted to typed error
             attempt += 1
             if attempt > retries:
@@ -818,6 +854,7 @@ def run_year_tasks(
                 retried,
                 attempts_used=attempts_used,
                 lanes=lanes,
+                cache_memory=keep_results,
             )
             record(index, result)
         except TaskExecutionError as err:
@@ -867,7 +904,6 @@ def run_year_tasks(
             decision = decide_engine(
                 system,
                 experiments.DEFAULT_SIM_ENGINE,
-                plant=task.plant,
                 deferrable=task.deferrable,
             )
             if decision.engine != "lanes":
@@ -952,7 +988,9 @@ def run_year_tasks(
         for chunk in chunks:
             try:
                 chunk_results = _run_lane_chunk(
-                    [tasks[i] for i in chunk], use_disk_cache
+                    [tasks[i] for i in chunk],
+                    use_disk_cache,
+                    cache_memory=keep_results,
                 )
             except Exception as err:  # noqa: BLE001 - isolate per cell
                 logger.warning("lane chunk failed (%s)", err)
@@ -975,13 +1013,9 @@ def run_year_tasks(
     broken = False
     owned = pool is None
     if owned:
-        executor = ProcessPoolExecutor(
-            max_workers=min(
-                workers, len(singles) + len(chunks) + len(day_chunks)
-            ),
-            mp_context=(
-                multiprocessing.get_context(ctx_name) if ctx_name else None
-            ),
+        executor = _new_executor(
+            min(workers, len(singles) + len(chunks) + len(day_chunks)),
+            ctx_name,
         )
     else:
         executor = pool.executor()

@@ -405,11 +405,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_world(args: argparse.Namespace) -> int:
     workers = resolve_workers(args.workers)
     failures: List[TaskFailure] = []
-    stream = None
-    if args.stream:
-        stream = True
-    elif args.no_stream:
-        stream = False
     screen_stats: dict = {}
     summary = world_sweep(
         num_locations=args.grid_points or args.locations,
@@ -419,7 +414,6 @@ def cmd_world(args: argparse.Namespace) -> int:
         task_retries=args.task_retries,
         task_timeout_s=args.task_timeout,
         failures=failures,
-        stream=stream,
         screen=args.screen,
         screen_stats=screen_stats,
         plant=args.plant,
@@ -721,13 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds to wait for any cell to finish before "
                             "recovering serially (default REPRO_TASK_TIMEOUT_S; "
                             "unset = no timeout)")
-    world.add_argument("--stream", action="store_true",
-                       help="fold results into compact summary columns as "
-                            "cells complete (default REPRO_STREAM_WORLD, on); "
-                            "bit-identical, bounded parent memory")
-    world.add_argument("--no-stream", action="store_true",
-                       help="hold every full YearResult in the parent until "
-                            "the sweep ends (the pre-streaming path)")
     _add_plant_arg(world)
 
     bench = sub.add_parser(

@@ -190,9 +190,9 @@ class CoolingModel:
     def resolved_humidity_model(self, key: RegimeKey):
         """The humidity model serving ``key`` after transition fallback.
 
-        Lets hot paths resolve the regime lookup once and then call
-        ``predict_one`` directly per step (see
-        :meth:`~repro.core.predictor.CoolingPredictor.predict_batch`).
+        Lets the predictor resolve each candidate row's regime lookup
+        once per candidate set and stack the coefficients (see
+        ``CoolingPredictor._get_plan``).
         """
         model = self.humidity_models.get(key)
         if model is None and key.startswith("transition:"):

@@ -93,16 +93,11 @@ class CoolingOptimizer:
         predictor: CoolingPredictor,
         utility: UtilityFunction,
         smooth_hardware: bool = False,
-        use_batched: bool = True,
     ) -> None:
         self.config = config
         self.predictor = predictor
         self.utility = utility
         self.smooth_hardware = smooth_hardware
-        # Batched scoring is bit-identical to the sequential reference path
-        # (see CoolingPredictor.predict_batch); the flag exists so tests can
-        # assert that equivalence and so regressions can be bisected.
-        self.use_batched = use_batched
         self.last_scores: List[Tuple[CoolingCommand, float]] = []
 
     def _candidates(
@@ -144,72 +139,15 @@ class CoolingOptimizer:
         caller already generated them (CoolAir does, to check the model
         can predict them before rolling out).
         """
-        steps = self.config.steps_per_control_period
         if candidates is None:
             candidates = self._candidates(state, band)
-        if self.use_batched:
-            predictions = self.predictor.predict_batch(state, candidates, steps)
-        else:
-            predictions = [
-                self.predictor.predict(state, command, steps)
-                for command in candidates
-            ]
-        return self.decide_from_predictions(
-            state, band, candidates, predictions, active_sensor_indices
+        temps, rh, energies, ac_full = self.predictor.predict_batch(
+            state, candidates, self.config.steps_per_control_period
         )
-
-    def decide_from_predictions(
-        self,
-        state: PredictorState,
-        band: TemperatureBand,
-        candidates: Sequence[CoolingCommand],
-        predictions: Sequence,
-        active_sensor_indices: Optional[Sequence[int]] = None,
-    ) -> CoolingCommand:
-        """Score precomputed candidate predictions and select the winner.
-
-        Split out of :meth:`decide` so the lane-batched engine, which runs
-        the predictor rollouts for many lanes at once, funnels each lane's
-        predictions through exactly this scoring and tie-break code.
-        """
-        horizon_s = float(self.config.control_period_s)
-        best_command: Optional[CoolingCommand] = None
-        best_key: Optional[Tuple[float, float, int]] = None
-        self.last_scores = []
-
-        if active_sensor_indices is not None:
-            indices = list(active_sensor_indices)
-            predictions = [
-                type(prediction)(
-                    sensor_temps_c=prediction.sensor_temps_c[:, indices],
-                    rh_pct=prediction.rh_pct,
-                    cooling_energy_kwh=prediction.cooling_energy_kwh,
-                    ac_at_full_speed=prediction.ac_at_full_speed,
-                )
-                for prediction in predictions
-            ]
-            current = [state.sensor_temps_c[i] for i in indices]
-        else:
-            current = list(state.sensor_temps_c)
-        if self.use_batched:
-            scores = self.utility.score_batch(
-                predictions, band, current, horizon_s
-            )
-        else:
-            scores = [
-                self.utility.score(prediction, band, current, horizon_s)
-                for prediction in predictions
-            ]
-        for command, prediction, score in zip(candidates, predictions, scores):
-            self.last_scores.append((command, score))
-            same_mode = 0 if command.mode is state.mode else 1
-            key = (round(score, 6), prediction.cooling_energy_kwh, same_mode)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_command = command
-
-        assert best_command is not None
-        return best_command
+        return self.decide_from_stacked(
+            state, band, candidates, temps, rh, energies, ac_full,
+            active_sensor_indices,
+        )
 
     def decide_from_stacked(
         self,
@@ -222,16 +160,13 @@ class CoolingOptimizer:
         ac_full: Sequence[bool],
         active_sensor_indices: Optional[Sequence[int]] = None,
     ) -> CoolingCommand:
-        """:meth:`decide_from_predictions` on pre-stacked prediction arrays.
+        """Score one state's stacked candidate rollouts and select the winner.
 
         ``temps`` is (candidates, steps, sensors) and ``rh`` (candidates,
-        steps) — the lane engine's :meth:`CoolingPredictor
-        .predict_lanes_stacked` output.  The active-sensor restriction is a
-        single gather here (``temps[:, :, indices]`` holds exactly the
-        values the per-candidate rebuild produces), and scoring goes
-        through :meth:`UtilityFunction.score_arrays`, the same tensor code
-        ``score_batch`` uses after stacking.  Selection and tie-breaking
-        are the same key comparison as the reference path.
+        steps), one lane of :meth:`CoolingPredictor.predict_lanes_stacked`.
+        Each score equals :meth:`UtilityFunction.score` of that candidate's
+        prediction, bit for bit; the lowest ``(score to 6 decimals,
+        energy, regime change)`` key wins.
         """
         horizon_s = float(self.config.control_period_s)
         best_command: Optional[CoolingCommand] = None
@@ -240,7 +175,13 @@ class CoolingOptimizer:
 
         if active_sensor_indices is not None:
             indices = list(active_sensor_indices)
-            temps = temps[:, :, indices]
+            # Sensor-major gather: each candidate's block then holds its
+            # (steps, active) values in the memory order the reference's
+            # per-candidate slice has, so score_arrays reduces them in the
+            # same order (temps[:, :, indices] differs in the last ulp).
+            temps = np.ascontiguousarray(
+                temps.transpose(0, 2, 1)[:, indices, :]
+            ).transpose(0, 2, 1)
             current = [state.sensor_temps_c[i] for i in indices]
         else:
             current = list(state.sensor_temps_c)

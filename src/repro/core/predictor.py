@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,27 @@ from repro.physics.psychrometrics import (
 # them and one 10-lane day chunk 14.5 MB, while 16 entries keep 91-92%
 # of their hits (docs/PERFORMANCE.md).
 LANE_COMBO_CACHE_SIZE = 16
+
+
+class _Plan(NamedTuple):
+    """One candidate set's rollout layout from one mode (see ``_get_plan``).
+
+    A variable-duty AC candidate takes two model rows (compressor on,
+    then off); every other candidate takes one.
+    """
+
+    duties: List[float]
+    fans: np.ndarray
+    row_index: np.ndarray
+    fans_rows: np.ndarray
+    keys_first: Tuple[str, ...]
+    keys_steady: Tuple[str, ...]
+    hum_b0_first: np.ndarray
+    hum_coef_first: np.ndarray
+    hum_b0_steady: np.ndarray
+    hum_coef_steady: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
 
 
 @dataclasses.dataclass
@@ -153,139 +174,16 @@ class CoolingPredictor:
         state: PredictorState,
         commands: Sequence[CoolingCommand],
         steps: int,
-    ) -> List[RegimePrediction]:
-        """Score every candidate regime in one vectorized rollout.
+    ):
+        """Every candidate regime of one state in one stacked rollout.
 
-        Returns exactly ``[self.predict(state, c, steps) for c in commands]``
-        — bit-identical, not merely close: the batched einsum contracts each
-        candidate row with the same per-element operation order as the
-        scalar path, AC duty blending happens at the prediction level with
-        the same arithmetic, and the (cheap) humidity/power/RH quantities
-        reuse the scalar code paths outright.
+        One lane of :meth:`predict_lanes_stacked`: returns ``(temps, rh,
+        energies, ac_full)`` with ``temps`` shaped (candidates, steps,
+        sensors) and ``rh`` (candidates, steps), candidate ``i``'s rows
+        equal to ``self.predict(state, commands[i], steps)``'s bit for
+        bit.
         """
-        if steps < 1:
-            raise ConfigError("steps must be >= 1")
-        num_sensors = self.model.num_sensors
-        if len(state.sensor_temps_c) != num_sensors:
-            raise ConfigError(
-                f"state has {len(state.sensor_temps_c)} sensors, model expects "
-                f"{num_sensors}"
-            )
-        if not commands:
-            return []
-
-        num_cands = len(commands)
-        plan = self._get_plan(state.mode, tuple(commands))
-        (
-            duties,
-            fans,
-            blended,
-            row_index,
-            fans_rows,
-            keys_first,
-            keys_steady,
-            hum_first,
-            hum_steady,
-        ) = plan[:9]
-
-        temps = np.tile(np.array(state.sensor_temps_c, dtype=float), (num_cands, 1))
-        prev_temps = np.tile(
-            np.array(state.prev_sensor_temps_c, dtype=float), (num_cands, 1)
-        )
-        w_in = [state.inside_mixing_ratio] * num_cands
-
-        traj = np.empty((steps, num_cands, num_sensors))
-        rh_mat = np.empty((steps, num_cands))
-        hum_buf = np.empty(5)
-        # Feature tensor lives at row level; constant columns fill once.
-        feats = np.empty((fans_rows.shape[0], num_sensors, 9))
-        feats[:, :, 2] = state.outside_temp_c
-        feats[:, :, 4] = fans_rows[:, None]
-        feats[:, :, 6] = state.utilization
-        feats[:, :, 8] = (fans_rows * state.outside_temp_c)[:, None]
-        for step in range(steps):
-            first = step == 0
-            temps_rows = temps[row_index]
-            feats[:, :, 0] = temps_rows
-            feats[:, :, 1] = prev_temps[row_index]
-            feats[:, :, 3] = (
-                state.prev_outside_temp_c if first else state.outside_temp_c
-            )
-            feats[:, :, 5] = state.fan_speed if first else fans_rows[:, None]
-            feats[:, :, 7] = fans_rows[:, None] * temps_rows
-
-            intercepts, coefs = self.model.batched_vectorized(
-                keys_first if first else keys_steady
-            )
-            preds = intercepts + np.einsum("rsf,rsf->rs", coefs, feats)
-
-            next_temps = np.empty((num_cands, num_sensors))
-            row = 0
-            for i in range(num_cands):
-                if blended[i]:
-                    duty = duties[i]
-                    next_temps[i] = (
-                        duty * preds[row] + (1.0 - duty) * preds[row + 1]
-                    )
-                    row += 2
-                else:
-                    next_temps[i] = preds[row]
-                    row += 1
-
-            means = next_temps.mean(axis=1)
-            hum_models = hum_first if first else hum_steady
-            out_w = state.outside_mixing_ratio
-            hum_feats = hum_buf
-            hum_feats[1] = out_w
-            dot = np.dot
-            row = 0
-            for i, cmd in enumerate(commands):
-                cmd_fan = cmd.fc_fan_speed
-                w = w_in[i]
-                hum_feats[0] = w
-                hum_feats[2] = cmd_fan
-                hum_feats[3] = cmd_fan * w
-                hum_feats[4] = cmd_fan * out_w
-                # Inlined LinearRegression.predict_one, clamped like
-                # CoolingModel.predict_humidity.
-                b0, coef = hum_models[row]
-                if blended[i]:
-                    duty = duties[i]
-                    on = max(1e-6, b0 + float(dot(coef, hum_feats)))
-                    b1, coef1 = hum_models[row + 1]
-                    off = max(1e-6, b1 + float(dot(coef1, hum_feats)))
-                    w_in[i] = duty * on + (1.0 - duty) * off
-                    row += 2
-                else:
-                    w_in[i] = max(1e-6, b0 + float(dot(coef, hum_feats)))
-                    row += 1
-            rh_mat[step] = absolute_to_relative_humidity_array(
-                np.array(w_in, dtype=float), means
-            )
-            prev_temps = temps
-            temps = next_temps
-            traj[step] = next_temps
-
-        horizon_s = steps * self.model_step_s
-        predictions: List[RegimePrediction] = []
-        for i, cmd in enumerate(commands):
-            duty = duties[i]
-            power_w = self._predict_power(state.mode, cmd, duty)
-            ac_full = (
-                cmd.mode is CoolingMode.AC_ON and duty >= 1.0 - 1e-9
-            ) or (
-                cmd.mode in (CoolingMode.AC_ON, CoolingMode.AC_FAN)
-                and cmd.ac_fan_speed >= 1.0 - 1e-9
-            )
-            predictions.append(
-                RegimePrediction(
-                    sensor_temps_c=traj[:, i, :].copy(),
-                    rh_pct=rh_mat[:, i].copy(),
-                    cooling_energy_kwh=power_w * horizon_s / 3.6e6,
-                    ac_at_full_speed=ac_full,
-                )
-            )
-        return predictions
+        return self.predict_lanes_stacked([state], [commands], steps)[0]
 
     def check_candidates(
         self, mode: CoolingMode, commands: Sequence[CoolingCommand]
@@ -293,7 +191,7 @@ class CoolingPredictor:
         """Raise :class:`~repro.errors.ModelNotTrainedError` exactly when
         a rollout of ``commands`` from ``mode`` would.
 
-        Both rollout paths resolve every learned model they use while
+        The stacked rollout resolves every learned model it uses while
         building the candidate set's plan, so this is that (cached) build.
         CoolAir calls it before rolling out, which lets the lane engine
         send a lane whose model lost a regime to safe mode without
@@ -338,35 +236,26 @@ class CoolingPredictor:
             regime_key(commands[c].mode, t)
             for c, t in zip(row_cand, row_target)
         )
-        hum_first = [
-            (m.intercept, m.coefficients)
-            for m in (
-                self.model.resolved_humidity_model(k) for k in keys_first
-            )
-        ]
+        hum_first = [self.model.resolved_humidity_model(k) for k in keys_first]
         hum_steady = [
-            (m.intercept, m.coefficients)
-            for m in (
-                self.model.resolved_humidity_model(k) for k in keys_steady
-            )
+            self.model.resolved_humidity_model(k) for k in keys_steady
         ]
         # Resolve the temperature stacks and every candidate's power too,
         # in the order a rollout first touches them (humidity, transition
         # step, steady steps, power), so a model that lost a regime fails
-        # here, before any rollout arithmetic: one raising point for
-        # predict_batch and predict_lanes_stacked alike.
+        # here, before any rollout arithmetic.
         self.model.batched_vectorized(keys_first)
         self.model.batched_vectorized(keys_steady)
         for command, duty in zip(commands, duties):
             self._predict_power(mode, command, duty)
-        # Stacked forms of the humidity models and the duty-blend weights
-        # for the lane path: weights are duty / (1 - duty) on a blended
-        # pair's rows and 1.0 elsewhere (1.0 * x passes through exactly),
-        # and `starts` marks each candidate's first row for reduceat.
-        hum_b0_first = np.array([b0 for b0, _ in hum_first])
-        hum_coef_first = np.stack([c for _, c in hum_first])
-        hum_b0_steady = np.array([b0 for b0, _ in hum_steady])
-        hum_coef_steady = np.stack([c for _, c in hum_steady])
+        # Stacked forms of the humidity models and the duty-blend weights:
+        # weights are duty / (1 - duty) on a blended pair's rows and 1.0
+        # elsewhere (1.0 * x passes through exactly), and `starts` marks
+        # each candidate's first row for reduceat.
+        hum_b0_first = np.array([m.intercept for m in hum_first])
+        hum_coef_first = np.stack([m.coefficients for m in hum_first])
+        hum_b0_steady = np.array([m.intercept for m in hum_steady])
+        hum_coef_steady = np.stack([m.coefficients for m in hum_steady])
         weights = np.ones(len(row_cand))
         starts = np.empty(len(commands), dtype=np.intp)
         row = 0
@@ -378,16 +267,13 @@ class CoolingPredictor:
                 row += 2
             else:
                 row += 1
-        plan = (
+        plan = _Plan(
             duties,
             fans,
-            blended,
             row_index,
             fans[row_index],
             keys_first,
             keys_steady,
-            hum_first,
-            hum_steady,
             hum_b0_first,
             hum_coef_first,
             hum_b0_steady,
@@ -408,8 +294,8 @@ class CoolingPredictor:
 
         Per lane, returns ``(temps, rh, energies, ac_full)`` with ``temps``
         shaped (candidates, steps, sensors) and ``rh`` (candidates, steps)
-        — exactly the arrays ``score_batch`` would stack from that lane's
-        :meth:`predict_batch` output, bit-identical element for element.
+        — the reference :meth:`predict` of each candidate, stacked in
+        candidate order, bit-identical element for element.
         Every lane's candidate rows are concatenated into one feature
         tensor so each rollout step costs a single einsum for the whole
         batch; the ``'rsf,rsf->rs'`` contraction is row-independent, so
@@ -453,7 +339,7 @@ class CoolingPredictor:
             cand_counts = np.array([len(c) for c in commands_per_lane])
             cand_offsets = np.concatenate(([0], np.cumsum(cand_counts)))
             total_cands = int(cand_offsets[-1])
-            row_counts = np.array([plan[4].shape[0] for plan in plans])
+            row_counts = np.array([len(plan.row_index) for plan in plans])
             row_offsets = np.concatenate(([0], np.cumsum(row_counts)))
             total_rows = int(row_offsets[-1])
             cand_slices = [
@@ -467,15 +353,15 @@ class CoolingPredictor:
             # untouched).
             global_row_index = np.concatenate(
                 [
-                    plans[lane][3] + int(cand_offsets[lane])
+                    plans[lane].row_index + int(cand_offsets[lane])
                     for lane in range(num_lanes)
                 ]
             )
-            fans_rows_all = np.concatenate([plan[4] for plan in plans])
-            weights = np.concatenate([plan[13] for plan in plans])
+            fans_rows_all = np.concatenate([plan.fans_rows for plan in plans])
+            weights = np.concatenate([plan.weights for plan in plans])
             starts = np.concatenate(
                 [
-                    plans[lane][14] + int(row_offsets[lane])
+                    plans[lane].starts + int(row_offsets[lane])
                     for lane in range(num_lanes)
                 ]
             )
@@ -483,16 +369,22 @@ class CoolingPredictor:
             # Stacked humidity models (per row), per-candidate fan speeds,
             # and the transition/steady temperature model tensors for the
             # whole batch (each lane's stack is itself cached by key tuple).
-            hum_b0_first = np.concatenate([plan[9] for plan in plans])
-            hum_coef_first = np.concatenate([plan[10] for plan in plans])
-            hum_b0_steady = np.concatenate([plan[11] for plan in plans])
-            hum_coef_steady = np.concatenate([plan[12] for plan in plans])
-            fan_cands = np.concatenate([plan[1] for plan in plans])
+            hum_b0_first = np.concatenate([plan.hum_b0_first for plan in plans])
+            hum_coef_first = np.concatenate(
+                [plan.hum_coef_first for plan in plans]
+            )
+            hum_b0_steady = np.concatenate(
+                [plan.hum_b0_steady for plan in plans]
+            )
+            hum_coef_steady = np.concatenate(
+                [plan.hum_coef_steady for plan in plans]
+            )
+            fan_cands = np.concatenate([plan.fans for plan in plans])
             model_first = [
-                self.model.batched_vectorized(plan[5]) for plan in plans
+                self.model.batched_vectorized(plan.keys_first) for plan in plans
             ]
             model_steady = [
-                self.model.batched_vectorized(plan[6]) for plan in plans
+                self.model.batched_vectorized(plan.keys_steady) for plan in plans
             ]
             intercepts_first = np.concatenate([m[0] for m in model_first])
             coefs_first = np.concatenate([m[1] for m in model_first])
@@ -500,12 +392,13 @@ class CoolingPredictor:
             coefs_steady = np.concatenate([m[1] for m in model_steady])
 
             # Candidate energies and AC-at-full-speed flags depend only on
-            # (mode, command, duty, horizon) — all pinned by the combo key.
+            # (mode, command, duty, horizon) — all pinned by the combo key —
+            # and are handed out as tuples, so no caller can edit the cache.
             horizon_s = steps * self.model_step_s
-            energies_per_lane: List[List[float]] = []
-            ac_full_per_lane: List[List[bool]] = []
+            energies_per_lane: List[Tuple[float, ...]] = []
+            ac_full_per_lane: List[Tuple[bool, ...]] = []
             for lane, state in enumerate(states):
-                duties = plans[lane][0]
+                duties = plans[lane].duties
                 energies: List[float] = []
                 ac_full_flags: List[bool] = []
                 for i, cmd in enumerate(commands_per_lane[lane]):
@@ -519,8 +412,8 @@ class CoolingPredictor:
                     )
                     energies.append(power_w * horizon_s / 3.6e6)
                     ac_full_flags.append(ac_full)
-                energies_per_lane.append(energies)
-                ac_full_per_lane.append(ac_full_flags)
+                energies_per_lane.append(tuple(energies))
+                ac_full_per_lane.append(tuple(ac_full_flags))
 
             entry = (
                 cand_counts,
@@ -703,26 +596,6 @@ class CoolingPredictor:
         return self.model.predict_temps_vector(
             regime_key(prev_mode, mode), features_matrix
         )
-
-    def _predict_temp(
-        self,
-        prev_mode: CoolingMode,
-        command: CoolingCommand,
-        duty: float,
-        sensor: int,
-        features: Sequence[float],
-    ) -> float:
-        mode = command.mode
-        if mode is CoolingMode.AC_ON and 0.0 < duty < 1.0:
-            # Variable-speed compressor: interpolate on/off models.
-            on = self.model.predict_temp(
-                regime_key(prev_mode, CoolingMode.AC_ON), sensor, features
-            )
-            off = self.model.predict_temp(
-                regime_key(prev_mode, CoolingMode.AC_FAN), sensor, features
-            )
-            return duty * on + (1.0 - duty) * off
-        return self.model.predict_temp(regime_key(prev_mode, mode), sensor, features)
 
     def _predict_humidity(
         self,

@@ -140,32 +140,6 @@ class UtilityFunction:
 
         return penalty
 
-    def score_batch(
-        self,
-        predictions: Sequence[RegimePrediction],
-        band: TemperatureBand,
-        current_sensor_temps_c: Sequence[float],
-        horizon_s: float,
-    ) -> List[float]:
-        """Penalties for a whole candidate set in a few tensor operations.
-
-        Bit-identical to ``[self.score(p, ...) for p in predictions]``:
-        every term is elementwise arithmetic, and the axis reductions over a
-        candidate's contiguous block produce the same floats as that
-        candidate's standalone full-array reduction.
-        """
-        if not predictions:
-            return []
-        return self.score_arrays(
-            np.stack([p.sensor_temps_c for p in predictions]),
-            np.stack([p.rh_pct for p in predictions]),
-            np.array([p.cooling_energy_kwh for p in predictions]),
-            np.array([p.ac_at_full_speed for p in predictions]),
-            band,
-            current_sensor_temps_c,
-            horizon_s,
-        )
-
     def score_arrays(
         self,
         temps: np.ndarray,
@@ -176,11 +150,14 @@ class UtilityFunction:
         current_sensor_temps_c: Sequence[float],
         horizon_s: float,
     ) -> List[float]:
-        """:meth:`score_batch` on pre-stacked arrays.
+        """Penalties for a whole candidate set in a few tensor operations.
 
         ``temps`` is (candidates, steps, sensors), ``rh`` is (candidates,
-        steps); callers that already hold stacked trajectories (the lane
-        engine) skip the per-candidate restacking.
+        steps).  Equal to :meth:`score` per candidate, bit for bit, when
+        each candidate's block of ``temps`` has the memory layout of the
+        prediction :meth:`score` reads: every term is elementwise, and an
+        axis reduction over such a block visits its floats in the order
+        the standalone reduction does.
         """
         if horizon_s <= 0:
             raise ConfigError("horizon_s must be positive")

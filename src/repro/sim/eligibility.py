@@ -1,12 +1,9 @@
 """The one place that decides which numeric path a cell runs on.
 
-Before this module, the lane/scalar/day-unfold decision was smeared
-across :func:`repro.analysis.experiments.effective_engine`, the campaign
-runner's partitioning, and defensive guards in :mod:`repro.sim.lanes`.
-They all agreed, but each restated a subset of the rules.  This module
-states the rules once; the callers above delegate here (the ``lanes.py``
+The cache key, ``experiments.year_result`` and the campaign runner's
+partitioning all call :func:`decide_engine`; the ``lanes.py``
 constructor keeps its guards purely as tripwires against being handed a
-config this module would have routed elsewhere).
+config this module would have routed elsewhere.
 
 The rules, in order:
 
@@ -65,7 +62,6 @@ class EngineDecision:
 def decide_engine(
     system: Union[str, CoolAirConfig],
     engine: Optional[str] = None,
-    plant: str = "parasol",
     deferrable: bool = False,
 ) -> EngineDecision:
     """The single decision function for a cell's numeric path.
@@ -74,8 +70,8 @@ def decide_engine(
     :class:`CoolAirConfig`; ``engine`` is the *requested* engine
     (``None`` means "the default", which the caller resolves — this
     function treats ``None`` as ``"lanes"`` since only the lane request
-    has anything to decide).  ``plant`` participates in the signature
-    because it used to force scalar; it deliberately no longer does.
+    has anything to decide).  The cooling plant takes no part: every
+    backend rides the lane engine.
     """
     requested = engine or "lanes"
     if requested not in SIM_ENGINES:

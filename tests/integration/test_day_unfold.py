@@ -25,6 +25,7 @@ from repro.core.config import TemporalPolicy
 from repro.core.versions import ALL_VERSIONS
 from repro.errors import ConfigError
 from repro.faults import builtin_scenario
+from repro.sim.eligibility import decide_engine
 from repro.sim.lanes import LaneScenario, run_year_unfolded
 from repro.sim.yearsim import run_year
 from repro.weather.locations import CHAD, NEWARK
@@ -183,19 +184,17 @@ class TestEligibilityGate:
     """Which cells may unfold; everything else stays day-sequential."""
 
     def test_plain_cells_are_eligible(self):
-        assert experiments.day_unfold_eligible("baseline")
-        assert experiments.day_unfold_eligible("All-ND")
-        assert experiments.day_unfold_eligible(ALL_VERSIONS["Energy"]())
+        assert decide_engine("baseline").day_unfold
+        assert decide_engine(ALL_VERSIONS["All-ND"]()).day_unfold
+        assert decide_engine(ALL_VERSIONS["Energy"]()).day_unfold
 
     def test_temporal_scheduling_is_not(self):
         config = ALL_VERSIONS["All-DEF"]()
         assert config.temporal is not TemporalPolicy.NONE
-        assert not experiments.day_unfold_eligible(config)
+        assert not decide_engine(config).day_unfold
 
     def test_deferrable_workloads_are_not(self):
-        assert not experiments.day_unfold_eligible(
-            "baseline", deferrable=True
-        )
+        assert not decide_engine("baseline", deferrable=True).day_unfold
 
     def test_faulted_cells_are_not(self):
         config = dataclasses.replace(
@@ -204,13 +203,12 @@ class TestEligibilityGate:
         )
         # Faulted cells ride lanes, but day-sequentially: fault state
         # carries across days.
-        assert experiments.effective_engine(config, "lanes") == "lanes"
-        assert not experiments.day_unfold_eligible(config)
+        decision = decide_engine(config, "lanes")
+        assert decision.engine == "lanes"
+        assert not decision.day_unfold
 
     def test_scalar_engine_is_not(self):
-        assert not experiments.day_unfold_eligible(
-            "baseline", engine="scalar"
-        )
+        assert not decide_engine("baseline", "scalar").day_unfold
 
     def test_ineligible_cell_falls_back_in_year_result(
         self, tmp_path, monkeypatch

@@ -179,7 +179,8 @@ def test_mixed_batch_lanes_equal_their_solo_runs(facebook_trace):
 def test_fault_campaign_cells_match_the_scalar_engine(
     tmp_path, monkeypatch
 ):
-    """run_year_tasks batches faulted cells by cooling model; every
+    """run_year_tasks runs the faulted cells as one mixed-model lane
+    chunk (model-gap's degraded model beside the default one); every
     payload equals the scalar engine's, and keys move to -elanes-."""
     from repro.analysis import experiments, runner
     from repro.service.spec import CampaignSpec

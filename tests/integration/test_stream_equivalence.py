@@ -1,11 +1,13 @@
 """Streaming world-sweep equivalence (the campaign data plane).
 
-The streaming path folds each completed cell into compact columnar
+The world sweep folds each completed cell into compact columnar
 summaries instead of holding every :class:`YearResult` in the parent.
 Its output must be *identical* — same locations, same order, bit-equal
-floats — to the in-memory path, with real simulations on both sides.
-The accumulator's pairing rules (drop a climate missing either result,
-grid order, error on empty) are pinned with fakes.
+floats — to :func:`~repro.analysis.worldmap.summarize_world` over the
+full result list (the in-memory oracle), with real simulations on both
+sides, and it must leave the parent's memory cache unseeded.  The
+accumulator's pairing rules (drop a climate missing either result, grid
+order, error on empty) are pinned with fakes.
 """
 
 import dataclasses
@@ -13,8 +15,8 @@ import dataclasses
 import pytest
 
 from repro.analysis import experiments
-from repro.analysis.runner import YearTask
-from repro.analysis.worldmap import StreamingWorldAccumulator
+from repro.analysis.runner import YearTask, run_year_tasks
+from repro.analysis.worldmap import StreamingWorldAccumulator, summarize_world
 from repro.errors import SimulationError
 from repro.sim.yearsim import YearResult
 from repro.weather.locations import world_grid
@@ -30,27 +32,57 @@ def fresh_caches(tmp_path, monkeypatch):
     return monkeypatch
 
 
+def world_tasks(climates):
+    return [
+        YearTask(system, climate, sample_every_days=FAST_STRIDE)
+        for climate in climates
+        for system in ("baseline", "All-ND")
+    ]
+
+
 def test_streaming_sweep_identical_to_in_memory(fresh_caches):
     streamed = experiments.world_sweep(
         num_locations=2,
         sample_every_days=FAST_STRIDE,
         workers=1,
-        stream=True,
     )
     fresh_caches.setattr(experiments, "_memory_cache", {})
     fresh_caches.setattr(
         experiments, "CACHE_DIR", experiments.CACHE_DIR.parent / "cache2"
     )
-    in_memory = experiments.world_sweep(
-        num_locations=2,
-        sample_every_days=FAST_STRIDE,
-        workers=1,
-        stream=False,
+    climates = world_grid(2)
+    results = run_year_tasks(world_tasks(climates), workers=1)
+    in_memory = summarize_world(
+        [(results[2 * i], results[2 * i + 1]) for i in range(len(climates))],
+        [(c.latitude, c.longitude) for c in climates],
     )
     # Frozen dataclasses: == is field-wise over every location, in order.
     assert streamed == in_memory
     assert streamed.comparisons[0].name == in_memory.comparisons[0].name
     assert streamed.headline() == in_memory.headline()
+
+
+class TestParentMemory:
+    """``keep_results`` decides whether the parent's memory cache is
+    seeded, on the in-process plan as on the pool's."""
+
+    @pytest.mark.parametrize("lanes", [None, 1])
+    def test_streamed_sweep_pins_no_result(self, fresh_caches, lanes):
+        experiments.world_sweep(
+            num_locations=3,
+            sample_every_days=FAST_STRIDE,
+            workers=1,
+            lanes=lanes,
+        )
+        assert experiments._memory_cache == {}
+
+    @pytest.mark.parametrize("lanes", [None, 1])
+    def test_kept_results_seed_the_memory_cache(self, fresh_caches, lanes):
+        tasks = world_tasks(world_grid(2))
+        results = run_year_tasks(tasks, workers=1, lanes=lanes)
+        cached = experiments._memory_cache
+        assert len(cached) == len(tasks)
+        assert sorted(map(id, cached.values())) == sorted(map(id, results))
 
 
 def fake_result(system, climate_name, range_c, pue_overhead):

@@ -55,9 +55,9 @@ def test_mixed_model_campaign_is_one_group_equal_to_scalar(
     lane_chunks = []
     real_chunk = runner._run_lane_chunk
 
-    def spy_chunk(chunk, use_disk_cache):
+    def spy_chunk(chunk, use_disk_cache, cache_memory=True):
         lane_chunks.append(list(chunk))
-        return real_chunk(chunk, use_disk_cache)
+        return real_chunk(chunk, use_disk_cache, cache_memory)
 
     monkeypatch.setattr(runner, "_run_lane_chunk", spy_chunk)
     monkeypatch.setattr(experiments, "DEFAULT_SIM_ENGINE", "lanes")

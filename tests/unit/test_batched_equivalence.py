@@ -1,11 +1,16 @@
-"""Batched prediction/scoring must equal the scalar reference, bit for bit.
+"""The one control-decision path must equal the per-candidate reference,
+bit for bit.
 
-PR-2's fast control path (:meth:`CoolingPredictor.predict_batch`,
-:meth:`UtilityFunction.score_batch`, ``CoolingOptimizer(use_batched=True)``)
-is a pure performance refactor: every test here pins it to the sequential
-path with exact floating-point equality, across a deterministic spread of
-control-period states covering both hardware candidate sets, blended AC
-duties, and active-sensor restriction.
+Every 10-minute decision rolls its candidates out in one stacked pass
+(:meth:`CoolingPredictor.predict_lanes_stacked`; the scalar engine's
+:meth:`CoolingPredictor.predict_batch` is its one-lane case), scores
+them with :meth:`UtilityFunction.score_arrays` and selects in
+:meth:`CoolingOptimizer.decide_from_stacked`.  The per-candidate
+:meth:`CoolingPredictor.predict` and :meth:`UtilityFunction.score` are
+the references: every test here pins the stacked path to them with exact
+floating-point equality, across a deterministic spread of control-period
+states covering both hardware candidate sets, blended AC duties, several
+bands and active-sensor restriction.
 """
 
 from __future__ import annotations
@@ -20,46 +25,117 @@ from repro.core.optimizer import (
     smooth_candidates,
 )
 from repro.core.predictor import CoolingPredictor
-from repro.core.utility import UtilityFunction
+from repro.core.utility import RegimePrediction, UtilityFunction
 from repro.core.versions import all_nd
 
 STEPS = 5
 BAND = TemperatureBand(25.0, 30.0)
+BANDS = (BAND, TemperatureBand(20.0, 25.0), TemperatureBand(28.0, 33.0))
+ACTIVE_SETS = (None, [0, 2], [3, 1], [0, 1, 2, 3])
 
 
-def assert_predictions_equal(batched, sequential):
-    assert len(batched) == len(sequential)
-    for got, want in zip(batched, sequential):
-        assert np.array_equal(got.sensor_temps_c, want.sensor_temps_c)
-        assert np.array_equal(got.rh_pct, want.rh_pct)
-        assert got.cooling_energy_kwh == want.cooling_energy_kwh
-        assert got.ac_at_full_speed == want.ac_at_full_speed
+def reference_decide(
+    optimizer, state, band, active_sensor_indices=None, candidates=None
+):
+    """The decision rebuilt from :meth:`CoolingPredictor.predict` and
+    :meth:`UtilityFunction.score`, one candidate at a time.
+
+    Returns ``(command, scores)``, ``scores`` shaped like the optimizer's
+    ``last_scores``.  The winner has the lowest ``(round(score, 6),
+    energy, same_mode)`` key, first candidate on ties.
+    """
+    config = optimizer.config
+    steps = config.steps_per_control_period
+    horizon_s = float(config.control_period_s)
+    if active_sensor_indices is None:
+        indices = None
+        current = list(state.sensor_temps_c)
+    else:
+        indices = list(active_sensor_indices)
+        current = [state.sensor_temps_c[i] for i in indices]
+    if candidates is None:
+        candidates = optimizer._candidates(state, band)
+    best_command, best_key, scores = None, None, []
+    for command in candidates:
+        prediction = optimizer.predictor.predict(state, command, steps)
+        if indices is not None:
+            prediction = RegimePrediction(
+                sensor_temps_c=prediction.sensor_temps_c[:, indices],
+                rh_pct=prediction.rh_pct,
+                cooling_energy_kwh=prediction.cooling_energy_kwh,
+                ac_at_full_speed=prediction.ac_at_full_speed,
+            )
+        score = optimizer.utility.score(prediction, band, current, horizon_s)
+        scores.append((command, score))
+        same_mode = 0 if command.mode is state.mode else 1
+        key = (round(score, 6), prediction.cooling_energy_kwh, same_mode)
+        if best_key is None or key < best_key:
+            best_command, best_key = command, key
+    return best_command, scores
+
+
+def assert_lane_matches_predict(predictor, state, commands, lane):
+    """One lane's stacked rollout equals ``predict`` per candidate."""
+    temps, rh, energies, ac_full = lane
+    assert temps.shape[0] == rh.shape[0] == len(commands)
+    assert len(energies) == len(ac_full) == len(commands)
+    for i, command in enumerate(commands):
+        want = predictor.predict(state, command, STEPS)
+        assert np.array_equal(temps[i], want.sensor_temps_c)
+        assert np.array_equal(rh[i], want.rh_pct)
+        assert energies[i] == want.cooling_energy_kwh
+        assert ac_full[i] == want.ac_at_full_speed
+
+
+def candidate_sets(state):
+    return (
+        abrupt_candidates(),
+        smooth_candidates(current_fc_speed=state.fan_speed),
+    )
 
 
 class TestPredictBatch:
     def test_matches_sequential_predict_both_candidate_sets(self, cooling_model):
         predictor = CoolingPredictor(cooling_model)
         for state in _decision_states(cooling_model, 12):
-            for commands in (
-                abrupt_candidates(),
-                smooth_candidates(current_fc_speed=state.fan_speed),
-            ):
-                batched = predictor.predict_batch(state, commands, STEPS)
-                sequential = [
-                    predictor.predict(state, command, STEPS)
-                    for command in commands
-                ]
-                assert_predictions_equal(batched, sequential)
+            for commands in candidate_sets(state):
+                assert_lane_matches_predict(
+                    predictor,
+                    state,
+                    commands,
+                    predictor.predict_batch(state, commands, STEPS),
+                )
 
     def test_batch_results_are_independent_copies(self, cooling_model):
         predictor = CoolingPredictor(cooling_model)
         state = _decision_states(cooling_model, 1)[0]
         commands = abrupt_candidates()
-        batched = predictor.predict_batch(state, commands, STEPS)
-        # Mutating one prediction must not alias another (the batch rollout
-        # slices a shared trajectory array; each result must own its data).
-        batched[0].sensor_temps_c[:] = -99.0
-        assert not np.any(batched[1].sensor_temps_c == -99.0)
+        temps, rh, energies, ac_full = predictor.predict_batch(
+            state, commands, STEPS
+        )
+        # A caller scribbling on one result must not reach the next one:
+        # the arrays are fresh per call, and the per-candidate energies
+        # and flags (kept in the predictor's combo cache) are immutable.
+        temps[:] = -99.0
+        rh[:] = -99.0
+        assert isinstance(energies, tuple) and isinstance(ac_full, tuple)
+        again = predictor.predict_batch(state, commands, STEPS)
+        assert not np.any(again[0] == -99.0)
+        assert not np.any(again[1] == -99.0)
+        assert_lane_matches_predict(predictor, state, commands, again)
+
+    def test_multi_lane_rollout_matches_predict(self, cooling_model):
+        """Lanes stacked into one rollout each equal ``predict``."""
+        predictor = CoolingPredictor(cooling_model)
+        states = _decision_states(cooling_model, 12)
+        commands = [
+            candidate_sets(state)[lane % 2]
+            for lane, state in enumerate(states)
+        ]
+        lanes = predictor.predict_lanes_stacked(states, commands, STEPS)
+        assert len(lanes) == len(states)
+        for state, lane_commands, lane in zip(states, commands, lanes):
+            assert_lane_matches_predict(predictor, state, lane_commands, lane)
 
 
 class TestScoreBatch:
@@ -70,41 +146,94 @@ class TestScoreBatch:
         horizon_s = float(config.control_period_s)
         for state in _decision_states(cooling_model, 8):
             commands = smooth_candidates(current_fc_speed=state.fan_speed)
-            predictions = predictor.predict_batch(state, commands, STEPS)
+            temps, rh, energies, ac_full = predictor.predict_batch(
+                state, commands, STEPS
+            )
             current = list(state.sensor_temps_c)
-            batched = utility.score_batch(predictions, BAND, current, horizon_s)
+            stacked = utility.score_arrays(
+                temps, rh, np.asarray(energies), np.asarray(ac_full),
+                BAND, current, horizon_s,
+            )
             sequential = [
-                utility.score(p, BAND, current, horizon_s) for p in predictions
+                utility.score(
+                    predictor.predict(state, command, STEPS),
+                    BAND,
+                    current,
+                    horizon_s,
+                )
+                for command in commands
             ]
-            assert batched == sequential
+            assert stacked == sequential
 
 
 class TestOptimizerEquivalence:
-    def make(self, cooling_model, smooth, use_batched):
+    def make(self, cooling_model, smooth):
         config = all_nd()
-        predictor = CoolingPredictor(cooling_model)
         return CoolingOptimizer(
             config,
-            predictor,
+            CoolingPredictor(cooling_model),
             UtilityFunction(config),
             smooth_hardware=smooth,
-            use_batched=use_batched,
         )
 
-    def assert_same_decisions(self, cooling_model, smooth, active=None):
-        batched = self.make(cooling_model, smooth, use_batched=True)
-        reference = self.make(cooling_model, smooth, use_batched=False)
-        for state in _decision_states(cooling_model, 10):
-            got = batched.decide(state, BAND, active_sensor_indices=active)
-            want = reference.decide(state, BAND, active_sensor_indices=active)
-            assert got == want
-            assert batched.last_scores == reference.last_scores
+    def assert_same_decisions(self, cooling_model, smooth, active_sets):
+        optimizer = self.make(cooling_model, smooth)
+        for active in active_sets:
+            for band in BANDS:
+                for state in _decision_states(cooling_model, 10):
+                    got = optimizer.decide(
+                        state, band, active_sensor_indices=active
+                    )
+                    want, scores = reference_decide(
+                        optimizer, state, band, active
+                    )
+                    assert got == want
+                    assert optimizer.last_scores == scores
 
     def test_smooth_hardware(self, cooling_model):
-        self.assert_same_decisions(cooling_model, smooth=True)
+        self.assert_same_decisions(cooling_model, True, ACTIVE_SETS)
 
     def test_abrupt_hardware(self, cooling_model):
-        self.assert_same_decisions(cooling_model, smooth=False)
+        self.assert_same_decisions(cooling_model, False, ACTIVE_SETS)
 
     def test_active_sensor_restriction(self, cooling_model):
-        self.assert_same_decisions(cooling_model, smooth=True, active=[0, 2])
+        """Restricting to the active pods' sensors must change the scores
+        (else the restriction tests above would prove nothing)."""
+        optimizer = self.make(cooling_model, True)
+        state = _decision_states(cooling_model, 10)[4]
+        optimizer.decide(state, BAND)
+        every_sensor = list(optimizer.last_scores)
+        optimizer.decide(state, BAND, active_sensor_indices=[0, 2])
+        assert optimizer.last_scores != every_sensor
+        assert optimizer.last_scores == reference_decide(
+            optimizer, state, BAND, [0, 2]
+        )[1]
+
+    def test_lane_decisions_match_reference(self, cooling_model):
+        """The lane engine's path: many states rolled out in one stacked
+        pass, then one ``decide_from_stacked`` per lane."""
+        for smooth in (True, False):
+            optimizer = self.make(cooling_model, smooth)
+            states = _decision_states(cooling_model, 10)
+            for active in ACTIVE_SETS:
+                for band in BANDS:
+                    candidates = [
+                        optimizer._candidates(state, band) for state in states
+                    ]
+                    lanes = optimizer.predictor.predict_lanes_stacked(
+                        states,
+                        candidates,
+                        optimizer.config.steps_per_control_period,
+                    )
+                    for state, lane_candidates, (
+                        temps, rh, energies, ac_full
+                    ) in zip(states, candidates, lanes):
+                        got = optimizer.decide_from_stacked(
+                            state, band, lane_candidates, temps, rh,
+                            energies, ac_full, active,
+                        )
+                        want, scores = reference_decide(
+                            optimizer, state, band, active
+                        )
+                        assert got == want
+                        assert optimizer.last_scores == scores

@@ -2,10 +2,11 @@
 
 One test per row of the cell-shape table in docs/EXPERIMENTS.md:
 ``decide_engine`` is the single place the lane/scalar/day-unfold
-routing lives, and the ``experiments`` wrappers must agree with it.
+routing lives.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core.config import TemporalPolicy
 from repro.core.versions import ALL_VERSIONS
 from repro.faults import BUILTIN_SCENARIOS, FaultSchedule
 from repro.sim.eligibility import EngineDecision, decide_engine
+from repro.weather.locations import NEWARK
 
 PLANTS = ("parasol", "chiller", "cooling_tower", "hybrid")
 
@@ -51,11 +53,14 @@ class TestDecisionMatrix:
         assert decision.reason == ""
 
     def test_every_plant_rides_lanes(self):
-        """The plant no longer changes the decision (PR 10)."""
+        """The plant takes no part in the decision, so every plant's
+        cache key records the lane engine."""
+        assert "plant" not in inspect.signature(decide_engine).parameters
         for plant in PLANTS:
             for system in ("baseline", ALL_VERSIONS["All-ND"]()):
-                decision = decide_engine(system, plant=plant)
-                assert decision == EngineDecision("lanes", True)
+                assert "-elanes" in experiments.cache_key(
+                    system, NEWARK, engine="lanes", plant=plant
+                )
 
     def test_exotic_timing_falls_back_to_scalar(self):
         config = ALL_VERSIONS["All-ND"]()
@@ -79,10 +84,13 @@ class TestDecisionMatrix:
         assert "fault" in decision.reason
 
     def test_faulted_plant_cell_rides_lanes(self):
+        decision = decide_engine(faulted_config())
+        assert decision.engine == "lanes"
+        assert decision.day_unfold is False
         for plant in ("chiller", "cooling_tower", "hybrid"):
-            decision = decide_engine(faulted_config(), plant=plant)
-            assert decision.engine == "lanes"
-            assert decision.day_unfold is False
+            assert "-elanes" in experiments.cache_key(
+                faulted_config(), NEWARK, engine="lanes", plant=plant
+            )
 
     def test_empty_fault_schedule_is_fault_free(self):
         config = dataclasses.replace(
@@ -101,29 +109,3 @@ class TestDecisionMatrix:
         decision = decide_engine(config)
         assert decision.engine == "lanes"
         assert decision.day_unfold is False
-
-
-class TestExperimentsWrappersDelegate:
-    """effective_engine / day_unfold_eligible restate nothing."""
-
-    def test_effective_engine_matches_decision(self):
-        for system in ("baseline", "All-ND", "All-DEF", faulted_config()):
-            resolved, _ = experiments._resolve_system(system)
-            for engine in ("lanes", "scalar"):
-                for plant in PLANTS:
-                    assert experiments.effective_engine(
-                        system, engine, plant=plant
-                    ) == decide_engine(resolved, engine, plant=plant).engine
-
-    def test_day_unfold_eligible_matches_decision(self):
-        for system in ("baseline", "All-ND", "All-DEF", faulted_config()):
-            resolved, _ = experiments._resolve_system(system)
-            for deferrable in (False, True):
-                assert experiments.day_unfold_eligible(
-                    system, deferrable=deferrable
-                ) == decide_engine(resolved, deferrable=deferrable).day_unfold
-
-    def test_day_unfold_ineligible_under_scalar_request(self):
-        assert not experiments.day_unfold_eligible(
-            "baseline", engine="scalar"
-        )

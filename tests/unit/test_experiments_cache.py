@@ -159,13 +159,15 @@ class TestCacheVersioning:
         assert "-elanes-" in keys["chiller"]
 
     def test_non_parasol_plants_ride_the_lane_engine(self):
+        from repro.weather.locations import NEWARK
+
         for plant in ("parasol", "chiller", "cooling_tower", "hybrid"):
-            assert experiments.effective_engine(
-                "baseline", "lanes", plant=plant
-            ) == "lanes"
-        assert experiments.effective_engine(
-            "baseline", "scalar", plant="chiller"
-        ) == "scalar"
+            assert "-elanes" in experiments.cache_key(
+                "baseline", NEWARK, engine="lanes", plant=plant
+            )
+        assert "-escalar-" in experiments.cache_key(
+            "baseline", NEWARK, engine="scalar", plant="chiller"
+        )
 
     # Keys as the commit before faulted cells rode lanes computed them
     # (pinned literals, so a change to any key component shows up here).
@@ -224,11 +226,17 @@ class TestCacheVersioning:
 
     def test_exotic_timing_config_falls_back_to_scalar(self):
         from repro.core.versions import ALL_VERSIONS
+        from repro.sim.eligibility import decide_engine
+        from repro.weather.locations import NEWARK
 
         config = ALL_VERSIONS["All-ND"]()
-        assert experiments.effective_engine(config, "lanes") == "lanes"
+        assert decide_engine(config, "lanes").engine == "lanes"
         config.model_step_s = 60.0
-        assert experiments.effective_engine(config, "lanes") == "scalar"
+        assert decide_engine(config, "lanes").engine == "scalar"
+        # The key records the engine the cell really runs on.
+        assert "-escalar-" in experiments.cache_key(
+            config, NEWARK, engine="lanes"
+        )
 
     def test_fingerprint_distinguishes_same_name_configs(self):
         from repro.core.versions import ALL_VERSIONS

@@ -253,20 +253,22 @@ class TestEngineRouting:
     def test_effective_engine_routes_faulted_cells_to_lanes(self):
         import dataclasses
 
-        from repro.analysis import experiments
         from repro.core.versions import all_nd
+        from repro.sim.eligibility import decide_engine
 
         faulted = dataclasses.replace(
             all_nd(), faults=builtin_scenario("inlet-dropout")
         )
-        assert experiments.effective_engine(faulted, "lanes") == "lanes"
-        assert not experiments.day_unfold_eligible(faulted)
+        decision = decide_engine(faulted, "lanes")
+        assert decision.engine == "lanes"
+        assert not decision.day_unfold
         # The scalar request still wins (the reference path stays).
-        assert experiments.effective_engine(faulted, "scalar") == "scalar"
+        assert decide_engine(faulted, "scalar").engine == "scalar"
         # An empty schedule is a no-op: lane-eligible and unfoldable.
         empty = dataclasses.replace(all_nd(), faults=FaultSchedule())
-        assert experiments.effective_engine(empty, "lanes") == "lanes"
-        assert experiments.day_unfold_eligible(empty)
+        decision = decide_engine(empty, "lanes")
+        assert decision.engine == "lanes"
+        assert decision.day_unfold
 
     def test_fingerprint_distinguishes_faulted_configs(self):
         import dataclasses

@@ -211,7 +211,7 @@ class TestLaneChunking:
         chunks = []
         monkeypatch.setattr(runner, "unfold_pays", lambda *a, **k: False)
 
-        def fake_chunk(chunk, use_disk_cache):
+        def fake_chunk(chunk, use_disk_cache, cache_memory=True):
             chunks.append(list(chunk))
             results = [
                 fake_result(climate=task.climate.name) for task in chunk
@@ -227,7 +227,9 @@ class TestLaneChunking:
                     task.forecast_bias_c,
                     "lanes",
                 )
-                experiments.store_result(key, result, use_disk_cache)
+                experiments.store_result(
+                    key, result, use_disk_cache, cache_memory
+                )
             return results
 
         monkeypatch.setattr(runner, "_run_lane_chunk", fake_chunk)
@@ -438,7 +440,7 @@ class TestDayUnfoldRule:
         """Fake both chunk runners; returns (lane chunks, day chunks)."""
         lane_chunks, day_chunks = [], []
 
-        def fake_lane_chunk(chunk, use_disk_cache):
+        def fake_lane_chunk(chunk, use_disk_cache, cache_memory=True):
             lane_chunks.append([task.climate.name for task in chunk])
             return [fake_result(climate=t.climate.name) for t in chunk]
 
@@ -827,6 +829,46 @@ class TestResolveMpContext:
         monkeypatch.delenv("REPRO_MP_CONTEXT", raising=False)
         with pytest.raises(ReproError, match="mp context"):
             runner.resolve_mp_context("threads")
+
+
+def worker_affinity(_):
+    """A pool worker's CPU affinity (None where the OS has none)."""
+    import os
+
+    getter = getattr(os, "sched_getaffinity", None)
+    return getter(0) if getter else None
+
+
+class TestSpreadWorker:
+    """Pool workers start on distinct CPUs and keep their full affinity."""
+
+    def test_takes_its_slot_cpu_then_restores_affinity(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            runner.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+            raising=False,
+        )
+        monkeypatch.setattr(
+            runner.os, "sched_setaffinity",
+            lambda pid, cpus: calls.append((pid, set(cpus))),
+            raising=False,
+        )
+        started = multiprocessing.Value("i", 4)
+        runner._spread_worker(started)
+        runner._spread_worker(started)
+        assert started.value == 6
+        # Slots 4 and 5 of three CPUs: CPUs 1 and 2, each then released.
+        assert calls == [
+            (0, {1}), (0, {0, 1, 2}), (0, {2}), (0, {0, 1, 2}),
+        ]
+
+    def test_pool_workers_keep_the_parent_affinity(self):
+        executor = runner._new_executor(2, None)
+        try:
+            seen = list(executor.map(worker_affinity, range(4)))
+        finally:
+            executor.shutdown()
+        assert seen == [worker_affinity(None)] * 4
 
 
 class TestWarmSharedState:
